@@ -13,18 +13,19 @@ behaviour.
 
 from __future__ import annotations
 
-# Metric names under which controller internals are scraped.
-WEIGHT = "weight"
-RAW_WEIGHT = "raw_weight"
-LATENCY_EWMA_S = "latency_ewma_s"
-SUCCESS_RATE_EWMA = "success_rate_ewma"
-RPS_EWMA = "rps_ewma"
-INFLIGHT_EWMA = "inflight_ewma"
-RELATIVE_CHANGE = "relative_change"
-RECONCILE_COUNT = "reconcile_count"
-TOTAL_RPS_EWMA = "total_rps_ewma"
-DEGRADED_RECONCILES = "degraded_reconciles"
-AUDIT_DECISIONS = "audit_decisions"
+from repro.telemetry.names import (
+    AUDIT_DECISIONS,
+    DEGRADED_RECONCILES,
+    INFLIGHT_EWMA,
+    LATENCY_EWMA_S,
+    RAW_WEIGHT,
+    RECONCILE_COUNT,
+    RELATIVE_CHANGE,
+    RPS_EWMA,
+    SUCCESS_RATE_EWMA,
+    TOTAL_RPS_EWMA,
+    WEIGHT,
+)
 
 
 class ControllerIntrospection:

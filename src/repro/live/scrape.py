@@ -3,13 +3,16 @@
 The wall-clock twin of :class:`repro.telemetry.scraper.Scraper`: every
 ``interval_s`` it fetches each target's ``/metrics`` page over a real
 socket, parses the Prometheus text exposition
-(:mod:`repro.live.exposition`) and appends every sample into the shared
+(:mod:`repro.live.exposition`) and appends the page into the shared
 :class:`~repro.telemetry.timeseries.TimeSeriesStore` at one capture
-timestamp — after which :class:`~repro.telemetry.query.PromMetricsSource`
+timestamp — a proxy bundle's seven families as the same
+:class:`~repro.telemetry.names.ProxySample` row the simulated scraper
+writes — after which :class:`~repro.telemetry.query.PromMetricsSource`
 and the controller run unchanged.
 
-A target that fails to answer simply contributes no samples that round
-(counted in :attr:`failed_scrapes`); sustained failure starves the
+A target that fails to answer, or whose page carries only part of a
+proxy bundle, contributes no samples that round (counted in
+:attr:`failed_scrapes`); sustained failure starves the
 window queries into returning ``None``, which is the controller's
 decay-toward-default path — the same behaviour a real Prometheus outage
 produces.
@@ -22,6 +25,7 @@ import asyncio
 from repro.errors import TelemetryError
 from repro.live import httpwire
 from repro.live.exposition import parse_exposition
+from repro.telemetry.names import PROXY_METRICS, PROXY_SAMPLE, ProxySample
 from repro.telemetry.timeseries import TimeSeriesStore
 
 
@@ -47,6 +51,19 @@ async def fetch_metrics(host: str, port: int, timeout_s: float = 2.0) -> str:
             await httpwire.close_writer(writer)
 
     return await asyncio.wait_for(_get(), timeout_s)
+
+
+def _group_proxy_rows(samples: dict) -> dict:
+    """Fold each series' proxy families into its one ``ProxySample`` row."""
+    for series, metrics in samples.items():
+        present = metrics.keys() & PROXY_METRICS
+        if len(present) == len(PROXY_METRICS):
+            metrics[PROXY_SAMPLE] = ProxySample(
+                *[metrics.pop(metric) for metric in PROXY_METRICS])
+        elif present:
+            raise TelemetryError(
+                f"incomplete proxy bundle for {series!r}: {sorted(present)}")
+    return samples
 
 
 class HttpScraper:
@@ -79,7 +96,8 @@ class HttpScraper:
     async def _scrape_target(self, host: str, port: int,
                              now: float) -> bool:
         try:
-            samples = parse_exposition(await self._fetch(host, port))
+            samples = _group_proxy_rows(
+                parse_exposition(await self._fetch(host, port)))
         except (OSError, TelemetryError, asyncio.TimeoutError,
                 TimeoutError, asyncio.IncompleteReadError,
                 UnicodeDecodeError):

@@ -10,6 +10,7 @@ from repro.mesh.proxy import ClientProxy
 from repro.mesh.service import Backend, ServiceDeployment
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+from repro.telemetry.names import SERVER_QUEUE, ProxySample, server_series_name
 from repro.workloads.profiles import BackendProfile
 
 
@@ -157,8 +158,6 @@ class ServiceMesh:
         gauge per backend counting requests executing or queued across its
         replicas.
         """
-        from repro.telemetry.names import SERVER_QUEUE, server_series_name
-
         for service in self.services():
             deployment = self._deployments[service]
             for backend in deployment.backends.values():
@@ -170,53 +169,19 @@ class ServiceMesh:
 class _AggregatedTelemetry:
     """Sums several proxies' telemetry for one backend at scrape time.
 
-    Duck-types :class:`~repro.telemetry.metrics.BackendTelemetry` closely
-    enough for the scraper (counter values, histogram cumulative counts,
-    gauge value).
+    Duck-types the one thing the scraper asks of a
+    :class:`~repro.telemetry.metrics.BackendTelemetry`: its row.
     """
 
     def __init__(self, backend_name: str, bundles):
         self.backend_name = backend_name
         self.scrape_name = backend_name
         self._bundles = list(bundles)
-        self.requests_total = _SumCounter(
-            [b.requests_total for b in bundles])
-        self.failures_total = _SumCounter(
-            [b.failures_total for b in bundles])
-        self.success_latency = _SumHistogram(
-            [b.success_latency for b in bundles])
-        self.failure_latency = _SumHistogram(
-            [b.failure_latency for b in bundles])
-        self.inflight = _SumCounter([b.inflight for b in bundles])
 
-
-class _SumCounter:
-    def __init__(self, parts):
-        self._parts = parts
-
-    @property
-    def value(self) -> float:
-        return sum(part.value for part in self._parts)
-
-
-class _SumHistogram:
-    def __init__(self, parts):
-        self._parts = parts
-
-    @property
-    def sum(self) -> float:
-        return sum(part.sum for part in self._parts)
-
-    @property
-    def count(self) -> int:
-        return sum(part.count for part in self._parts)
-
-    def cumulative_counts(self) -> tuple:
-        totals = None
-        for part in self._parts:
-            counts = part.cumulative_counts()
-            if totals is None:
-                totals = list(counts)
-            else:
-                totals = [a + b for a, b in zip(totals, counts)]
-        return tuple(totals or ())
+    def sample(self) -> ProxySample:
+        """Field-wise sum of the bundles' rows (bucket tuples per bucket)."""
+        columns = zip(*[bundle.sample() for bundle in self._bundles])
+        return ProxySample(*[
+            tuple(map(sum, zip(*column))) if isinstance(column[0], tuple)
+            else sum(column)
+            for column in columns])

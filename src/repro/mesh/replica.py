@@ -65,7 +65,7 @@ class Replica:
     @property
     def inflight(self) -> int:
         """Requests currently executing or queued on this replica."""
-        return self.server.in_use + self.server.queue_len
+        return self.server.occupancy
 
     def crash(self, mode: str = "fail_fast") -> None:
         """Take the replica down.

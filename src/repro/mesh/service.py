@@ -92,8 +92,12 @@ class Backend:
 
     @property
     def inflight(self) -> int:
-        """Requests executing or queued across all replicas."""
-        return sum(replica.inflight for replica in self.replicas)
+        """Requests executing or queued across all replicas.
+
+        Scraped as a gauge for every backend at every scrape, hence the
+        single ``Server.occupancy`` read per replica.
+        """
+        return sum([replica.server.occupancy for replica in self.replicas])
 
     def handle(self, body=None, trace=None):
         """Serve one request on the next replica; returns success bool.

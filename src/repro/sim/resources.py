@@ -47,6 +47,11 @@ class Server:
         """Number of acquisitions waiting for a free slot."""
         return len(self._waiters)
 
+    @property
+    def occupancy(self) -> int:
+        """Held slots plus waiting acquisitions (one read for gauges)."""
+        return self._in_use + len(self._waiters)
+
     def acquire(self) -> Event:
         """Return an event firing once a slot is held by the caller."""
         event = Event(self.sim)

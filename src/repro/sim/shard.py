@@ -326,7 +326,7 @@ class _ClusterState:
                     idx = np.searchsorted(self.bounds, bad, side="left")
                     self.fail_buckets += np.bincount(
                         idx, minlength=self.fail_buckets.shape[0])
-        return (
+        return metric_names.ProxySample(
             float(self.completed),
             float(self.failures),
             tuple(np.cumsum(self.succ_buckets).tolist()),
@@ -578,11 +578,12 @@ def run_sharded_benchmark(scenario, algorithm: str = "l3",
     clusters = sorted(scenario.cluster_profiles)
     client = topology.client_cluster
     names = [backend_name(SCENARIO_SERVICE, c) for c in clusters]
-    series_names = [f"{client}|{name}" for name in names]
     bounds = DEFAULT_BUCKET_BOUNDS_S
 
     # --- control plane (parent) ---------------------------------------- #
     store = TimeSeriesStore()
+    proxy_series = [store.series(metric_names.scoped_series_name(client, n),
+                                 metric_names.PROXY_SAMPLE) for n in names]
     source = PromMetricsSource(store, scope=client)
     sink = _WeightWindows(names, env.propagation_delay_s, np)
     controller = L3Controller(names, source, sink, config=config,
@@ -678,28 +679,8 @@ def run_sharded_benchmark(scenario, algorithm: str = "l3",
                     succ_chunks.append(r_succ)
                 telemetry.update(telem)
             if barrier <= total + 1e-9:
-                for cluster, series_name in zip(clusters, series_names):
-                    (completed, failed, succ_buckets, succ_sum,
-                     succ_count, fail_buckets, inflight) = telemetry[cluster]
-                    series = store.series
-                    series(series_name, metric_names.REQUESTS_TOTAL).append(
-                        barrier, completed)
-                    series(series_name, metric_names.FAILURES_TOTAL).append(
-                        barrier, failed)
-                    series(series_name,
-                           metric_names.SUCCESS_LATENCY_BUCKETS).append(
-                        barrier, succ_buckets)
-                    series(series_name,
-                           metric_names.SUCCESS_LATENCY_SUM).append(
-                        barrier, succ_sum)
-                    series(series_name,
-                           metric_names.SUCCESS_LATENCY_COUNT).append(
-                        barrier, succ_count)
-                    series(series_name,
-                           metric_names.FAILURE_LATENCY_BUCKETS).append(
-                        barrier, fail_buckets)
-                    series(series_name, metric_names.INFLIGHT).append(
-                        barrier, inflight)
+                for cluster, series in zip(clusters, proxy_series):
+                    series.append(barrier, telemetry[cluster])
                 if (k + 1) % ticks_per_reconcile == 0:
                     controller.reconcile(barrier)
     finally:

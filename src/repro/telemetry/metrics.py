@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.errors import TelemetryError
 from repro.telemetry.histogram import LatencyHistogram
+from repro.telemetry.names import ProxySample
 
 
 class Counter:
@@ -82,6 +83,20 @@ class BackendTelemetry:
         self.success_latency = LatencyHistogram()
         self.failure_latency = LatencyHistogram()
         self.inflight = Gauge()
+        # The row sample() returned last: an unchanged (idle) bundle hands
+        # out the same object, so its scrapes retain no new allocation.
+        self._row: ProxySample | None = None
+
+    def sample(self) -> ProxySample:
+        """The bundle as one store row — what every scrape writes."""
+        success = self.success_latency
+        values = (
+            self.requests_total._value, self.failures_total._value,
+            success.cumulative_counts(), success._sum, success._count,
+            self.failure_latency.cumulative_counts(), self.inflight._value)
+        if values != self._row:
+            self._row = ProxySample._make(values)
+        return self._row
 
     # The two hooks below run once per request attempt; the Gauge/Counter
     # inc()/dec() calls are inlined (same `+= 1.0` the methods perform —

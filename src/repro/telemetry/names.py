@@ -16,11 +16,18 @@ point (``"cluster-1|api/cluster-2"`` for a proxy's view of a backend,
 the Prometheus text format the series name travels as the value of the
 :data:`SERIES_LABEL` label, because series names contain characters
 (``|``, ``/``) that are invalid in Prometheus metric names.
+
+A proxy's seven per-backend metrics are always scraped at one timestamp
+and read over one window, so the store keeps them as one
+:class:`ProxySample` row per scrape under the metric name
+:data:`PROXY_SAMPLE`; their names stay the exposition vocabulary.
 """
 
 from __future__ import annotations
 
-# --- store metric names (one series per backend per metric) ----------- #
+from typing import NamedTuple
+
+# --- metric names (exposition families; ProxySample fields) ----------- #
 
 REQUESTS_TOTAL = "requests_total"
 FAILURES_TOTAL = "failures_total"
@@ -33,6 +40,39 @@ SERVER_QUEUE = "server_queue"
 REPLICA_COUNT = "replica_count"
 AUTOSCALE_EVENTS = "autoscale_events"
 
+
+class ProxySample(NamedTuple):
+    """One scrape of one proxy's per-backend bundle: a store row whose
+    fields are named after the metrics above, so a parsed exposition page
+    groups into rows by name."""
+
+    requests_total: float
+    failures_total: float
+    success_latency_buckets: tuple
+    success_latency_sum: float
+    success_latency_count: float
+    failure_latency_buckets: tuple
+    inflight: float
+
+
+# Metric name of a scrape target's one row series; its metrics, row order.
+PROXY_SAMPLE = "proxy_sample"
+PROXY_METRICS = ProxySample._fields
+
+# --- controller introspection (repro.core.introspection) --------------- #
+
+WEIGHT = "weight"
+RAW_WEIGHT = "raw_weight"
+LATENCY_EWMA_S = "latency_ewma_s"
+SUCCESS_RATE_EWMA = "success_rate_ewma"
+RPS_EWMA = "rps_ewma"
+INFLIGHT_EWMA = "inflight_ewma"
+RELATIVE_CHANGE = "relative_change"
+RECONCILE_COUNT = "reconcile_count"
+TOTAL_RPS_EWMA = "total_rps_ewma"
+DEGRADED_RECONCILES = "degraded_reconciles"
+AUDIT_DECISIONS = "audit_decisions"
+
 # --- Prometheus text-exposition vocabulary ----------------------------- #
 
 # Label under which the store's series name travels in the text format.
@@ -43,11 +83,6 @@ COUNTER_METRICS = (REQUESTS_TOTAL, FAILURES_TOTAL, AUTOSCALE_EVENTS)
 
 # Gauge metrics: exposition name == store name, value is a float.
 GAUGE_METRICS = (INFLIGHT, SERVER_QUEUE, REPLICA_COUNT)
-
-# Metrics reported by the backend itself (under ``server|<backend>``
-# series), not part of any client proxy's scrape bundle: the queue gauge
-# C3 reads, plus the autoscaler's replica gauge and event counter.
-SERVER_SIDE_METRICS = (SERVER_QUEUE, REPLICA_COUNT, AUTOSCALE_EVENTS)
 
 # Histogram families: store name of the cumulative-bucket tuple → the
 # exposition family base name. Prometheus convention derives the three
@@ -65,20 +100,6 @@ HISTOGRAM_FAMILIES = {
 HISTOGRAM_SUM_COUNT = {
     "success_latency": (SUCCESS_LATENCY_SUM, SUCCESS_LATENCY_COUNT),
 }
-
-# Every metric name a scrape may write into the store.
-ALL_METRICS = (
-    REQUESTS_TOTAL,
-    FAILURES_TOTAL,
-    SUCCESS_LATENCY_BUCKETS,
-    SUCCESS_LATENCY_SUM,
-    SUCCESS_LATENCY_COUNT,
-    FAILURE_LATENCY_BUCKETS,
-    INFLIGHT,
-    SERVER_QUEUE,
-    REPLICA_COUNT,
-    AUTOSCALE_EVENTS,
-)
 
 
 def server_series_name(backend: str) -> str:

@@ -3,6 +3,9 @@
 Implements the :class:`repro.core.controller.MetricsSource` protocol with
 PromQL-equivalent semantics: counter rates from window edge samples,
 percentiles from histogram-bucket deltas, gauges from the latest sample.
+A backend's seven proxy metrics live in one row series
+(:class:`~repro.telemetry.names.ProxySample`), so a query is one window
+look-up per backend and every figure derives from the two edge rows.
 A backend without traffic in the window yields ``None`` (the paper: L3
 "cannot retrieve metrics … after at least 10 seconds without any traffic"),
 which triggers the controller's decay-toward-default path.
@@ -10,10 +13,12 @@ which triggers the controller's decay-toward-default path.
 
 from __future__ import annotations
 
+import math
+
 from repro.core.controller import MetricSample
 from repro.telemetry import names as metric_names
 from repro.telemetry.histogram import DEFAULT_BUCKET_BOUNDS_S, quantile_from_delta
-from repro.telemetry.timeseries import TimeSeriesStore
+from repro.telemetry.timeseries import SampleSeries, TimeSeriesStore
 
 
 class PromMetricsSource:
@@ -32,21 +37,20 @@ class PromMetricsSource:
         self.store = store
         self.bucket_bounds = tuple(bucket_bounds)
         self.scope = scope
-        # Scoped-name memo: the controller queries the same handful of
-        # backends every reconcile interval; building the "scope|backend"
-        # string (and the server|name key below) once per backend instead
-        # of once per query keeps the scrape pipeline allocation-free.
-        self._scoped_names: dict[str, str] = {}
-        self._server_names: dict[str, str] = {}
+        # Series-handle memos: the controller queries the same backends
+        # every reconcile, so names are built and the store is searched
+        # once per backend, not once per query.
+        self._proxy_handles: dict[str, SampleSeries] = {}
+        self._server_handles: dict[tuple[str, str], SampleSeries] = {}
 
-    def _scoped(self, name: str) -> str:
-        if not self.scope:
-            return name
-        scoped = self._scoped_names.get(name)
-        if scoped is None:
-            scoped = self._scoped_names[name] = metric_names.scoped_series_name(
-                self.scope, name)
-        return scoped
+    def _proxy_series(self, name: str) -> SampleSeries:
+        """The row series holding this vantage point's view of ``name``."""
+        series = self._proxy_handles.get(name)
+        if series is None:
+            series = self._proxy_handles[name] = self.store.series(
+                metric_names.scoped_series_name(self.scope, name)
+                if self.scope else name, metric_names.PROXY_SAMPLE)
+        return series
 
     def collect(self, backend_names, now: float, window_s: float,
                 percentile: float) -> dict:
@@ -58,63 +62,44 @@ class PromMetricsSource:
 
     def _collect_backend(self, name: str, now: float, window_s: float,
                          percentile: float):
-        start = now - window_s
-        name = self._scoped(name)
-        requests = self.store.series(name, metric_names.REQUESTS_TOTAL)
-        edges = requests.first_last_in_window(start, now)
+        edges = self._proxy_series(name).first_last_in_window(
+            now - window_s, now)
         if edges is None:
             return None
-        (t0, req0), (t1, req1) = edges
+        (t0, first), (t1, last) = edges
         elapsed = t1 - t0
-        delta_requests = req1 - req0
+        delta_requests = last.requests_total - first.requests_total
+        # No traffic, or a counter that went backwards (reset): no data.
+        # Checked first: at fleet width most backends idle in any window.
         if elapsed <= 0 or delta_requests <= 0:
             return None
+        delta_failures = last.failures_total - first.failures_total
+        delta_sum = last.success_latency_sum - first.success_latency_sum
+        delta_count = last.success_latency_count - first.success_latency_count
+        delta_successes = (last.success_latency_buckets[-1]
+                           - first.success_latency_buckets[-1])
+        # Hostile input (the live exposition parser accepts NaN and Inf):
+        # one non-finite term makes the sum non-finite, and the backend
+        # then reads as "no data" instead of poisoning the EWMAs.
+        if not math.isfinite(delta_requests + delta_failures + delta_sum
+                             + delta_count + delta_successes + last.inflight):
+            return None
 
-        rps = delta_requests / elapsed
-
-        failures = self.store.series(name, metric_names.FAILURES_TOTAL)
-        failure_edges = failures.first_last_in_window(start, now)
-        delta_failures = (
-            failure_edges[1][1] - failure_edges[0][1] if failure_edges else 0.0)
         success_rate = 1.0 - delta_failures / delta_requests
-        success_rate = min(max(success_rate, 0.0), 1.0)
-
-        latency_s = self._latency_quantile(
-            name, metric_names.SUCCESS_LATENCY_BUCKETS, start, now, percentile)
-        mean_latency_s = self._mean_latency(name, start, now)
-
-        inflight_sample = self.store.series(
-            name, metric_names.INFLIGHT).latest_in_window(start, now)
-        inflight = max(inflight_sample[1], 0.0) if inflight_sample else 0.0
-
         return MetricSample(
-            latency_s=latency_s, success_rate=success_rate,
-            rps=rps, inflight=inflight, mean_latency_s=mean_latency_s)
+            latency_s=self._window_quantile(
+                first.success_latency_buckets, last.success_latency_buckets,
+                percentile),
+            success_rate=min(max(success_rate, 0.0), 1.0),
+            rps=delta_requests / elapsed,
+            inflight=max(last.inflight, 0.0),
+            mean_latency_s=delta_sum / delta_count if delta_count > 0
+            else None)
 
-    def _mean_latency(self, name: str, start: float, end: float):
-        """Windowed mean of successful latency from sum/count deltas."""
-        sums = self.store.series(
-            name, metric_names.SUCCESS_LATENCY_SUM
-        ).first_last_in_window(start, end)
-        counts = self.store.series(
-            name, metric_names.SUCCESS_LATENCY_COUNT
-        ).first_last_in_window(start, end)
-        if sums is None or counts is None:
-            return None
-        delta_count = counts[1][1] - counts[0][1]
-        if delta_count <= 0:
-            return None
-        return (sums[1][1] - sums[0][1]) / delta_count
-
-    def _latency_quantile(self, name: str, metric: str, start: float,
-                          end: float, percentile: float):
-        """Windowed percentile from histogram deltas; None without data."""
-        series = self.store.series(name, metric)
-        edges = series.first_last_in_window(start, end)
-        if edges is None:
-            return None
-        (_t0, buckets0), (_t1, buckets1) = edges
-        if buckets1[-1] - buckets0[-1] <= 0:
+    def _window_quantile(self, buckets0, buckets1, percentile: float):
+        """Percentile of the observations between two cumulative-bucket
+        snapshots; None when nothing was observed between them."""
+        if not buckets1[-1] - buckets0[-1] > 0:
             return None
         return quantile_from_delta(
             self.bucket_bounds, buckets0, buckets1, percentile)
@@ -130,12 +115,11 @@ class PromMetricsSource:
         that must distinguish "no data yet" from "idle" (the autoscaler's
         hold-state path) do so.
         """
-        series_name = self._server_names.get(name)
-        if series_name is None:
-            series_name = self._server_names[name] = (
-                metric_names.server_series_name(name))
-        sample = self.store.series(
-            series_name, metric).latest_in_window(now - window_s, now)
+        series = self._server_handles.get((name, metric))
+        if series is None:
+            series = self._server_handles[name, metric] = self.store.series(
+                metric_names.server_series_name(name), metric)
+        sample = series.latest_in_window(now - window_s, now)
         return max(sample[1], 0.0) if sample else None
 
     def server_queue(self, name: str, now: float, window_s: float) -> float:
@@ -156,6 +140,10 @@ class PromMetricsSource:
         work): continuous feedback about the response time of unsuccessful
         requests. Returns None without failure data in the window.
         """
-        return self._latency_quantile(
-            self._scoped(name), metric_names.FAILURE_LATENCY_BUCKETS,
-            now - window_s, now, percentile)
+        edges = self._proxy_series(name).first_last_in_window(
+            now - window_s, now)
+        if edges is None:
+            return None
+        return self._window_quantile(
+            edges[0][1].failure_latency_buckets,
+            edges[1][1].failure_latency_buckets, percentile)

@@ -4,22 +4,8 @@ from __future__ import annotations
 
 from repro.errors import Interrupted, TelemetryError
 from repro.telemetry.metrics import BackendTelemetry
-from repro.telemetry.timeseries import TimeSeriesStore
-
-# Metric names under which a backend's telemetry is scraped. The
-# canonical definitions live in repro.telemetry.names (shared with the
-# live testbed's text-exposition endpoint); the aliases below are kept
-# because this module historically defined them.
-from repro.telemetry.names import (  # noqa: F401 - re-exported aliases
-    FAILURE_LATENCY_BUCKETS,
-    FAILURES_TOTAL,
-    INFLIGHT,
-    REQUESTS_TOTAL,
-    SERVER_QUEUE,
-    SUCCESS_LATENCY_BUCKETS,
-    SUCCESS_LATENCY_COUNT,
-    SUCCESS_LATENCY_SUM,
-)
+from repro.telemetry.names import PROXY_SAMPLE
+from repro.telemetry.timeseries import SampleSeries, TimeSeriesStore
 
 
 class Scraper:
@@ -35,8 +21,10 @@ class Scraper:
             raise TelemetryError(f"scrape interval must be positive: {interval_s}")
         self.store = store
         self.interval_s = interval_s
-        self._targets: dict[str, BackendTelemetry] = {}
-        self._gauges: list[tuple[str, str, object]] = []
+        # Targets and gauges hold their series handle, bound once at
+        # registration: a scrape is then one append per target.
+        self._targets: dict[str, tuple[BackendTelemetry, SampleSeries]] = {}
+        self._gauges: list[tuple[SampleSeries, object]] = []
         # Fault injection: a paused scraper skips its ticks entirely, so
         # the store receives no new samples and windowed queries go empty —
         # the controller's decay-toward-default path.
@@ -53,7 +41,7 @@ class Scraper:
         name = getattr(telemetry, "scrape_name", telemetry.backend_name)
         if name in self._targets:
             raise TelemetryError(f"duplicate scrape target: {name}")
-        self._targets[name] = telemetry
+        self._targets[name] = (telemetry, self.store.series(name, PROXY_SAMPLE))
 
     def register_gauge(self, series_name: str, metric: str, read) -> None:
         """Add a custom gauge scrape target.
@@ -67,30 +55,17 @@ class Scraper:
             metric: metric name within the series.
             read: zero-argument callable returning the current value.
         """
-        self._gauges.append((series_name, metric, read))
+        self._gauges.append((self.store.series(series_name, metric), read))
 
     def scrape_once(self, now: float) -> None:
         """Snapshot every registered target at time ``now``."""
         hook = self.pre_scrape
         if hook is not None:
             hook()
-        for name, telemetry in self._targets.items():
-            self.store.series(name, REQUESTS_TOTAL).append(
-                now, telemetry.requests_total.value)
-            self.store.series(name, FAILURES_TOTAL).append(
-                now, telemetry.failures_total.value)
-            self.store.series(name, SUCCESS_LATENCY_BUCKETS).append(
-                now, telemetry.success_latency.cumulative_counts())
-            self.store.series(name, SUCCESS_LATENCY_SUM).append(
-                now, telemetry.success_latency.sum)
-            self.store.series(name, SUCCESS_LATENCY_COUNT).append(
-                now, telemetry.success_latency.count)
-            self.store.series(name, FAILURE_LATENCY_BUCKETS).append(
-                now, telemetry.failure_latency.cumulative_counts())
-            self.store.series(name, INFLIGHT).append(
-                now, telemetry.inflight.value)
-        for series_name, metric, read in self._gauges:
-            self.store.series(series_name, metric).append(now, float(read()))
+        for telemetry, series in self._targets.values():
+            series.append(now, telemetry.sample())
+        for series, read in self._gauges:
+            series.append(now, float(read()))
 
     def pause(self, mode: str = "error") -> None:
         """Suspend scraping (fault injection: Prometheus outage).

@@ -1,8 +1,10 @@
 """Scraped-sample storage with windowed lookups.
 
 The scraper appends ``(time, value)`` samples; queries read trailing
-windows. Values are floats for counters/gauges and cumulative-count tuples
-for histograms — the store is agnostic.
+windows. A value is a float for a gauge or introspection series and a
+whole :class:`~repro.telemetry.names.ProxySample` row for a proxy's
+per-backend bundle (one row per scrape, not seven parallel series: the
+seven metrics always share their time axis) — the store is agnostic.
 
 Storage is a pair of parallel lists rather than deques: ``bisect`` then
 runs directly on the time list, and the window queries the controller

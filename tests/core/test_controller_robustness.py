@@ -1,15 +1,17 @@
 """Controller hardening: degraded mode, pause, rounding, stale decay."""
 
+import math
+
 import pytest
 
 import repro.core.controller as controller_module
 from repro.core.config import L3Config
 from repro.core.controller import L3Controller, MetricSample
-from repro.core.introspection import (
-    DEGRADED_RECONCILES,
-    ControllerIntrospection,
-)
+from repro.core.introspection import ControllerIntrospection
 from repro.errors import Interrupted
+from repro.telemetry.metrics import BackendTelemetry
+from repro.telemetry.names import DEGRADED_RECONCILES, PROXY_SAMPLE
+from repro.telemetry.query import PromMetricsSource
 from repro.telemetry.scraper import Scraper
 from repro.telemetry.timeseries import TimeSeriesStore
 
@@ -113,6 +115,70 @@ class TestDegradedMode:
         scraper.scrape_once(6.0)
         samples = store.series("l3", DEGRADED_RECONCILES).window(0.0, 10.0)
         assert samples[-1][1] == 1
+
+
+class TestNonFiniteTelemetry:
+    """One NaN counter sample must not stop the loop or poison the EWMAs.
+
+    Regression: ``collect`` used to hand ``rps=nan, success_rate=nan`` to
+    ``reconcile``, which died in ``BackendSnapshot`` — outside the
+    degraded-mode ``try`` — with ``success rate … outside [0, 1]: nan``.
+    """
+
+    def test_nan_sample_decays_that_backend_and_the_loop_goes_on(self):
+        store = TimeSeriesStore()
+        scraper = Scraper(store)
+        bundles = {name: BackendTelemetry(name) for name in ("a", "b")}
+        for telemetry in bundles.values():
+            scraper.register(telemetry)
+        sink = FlakySink()
+        controller = make_controller(
+            PromMetricsSource(store), sink, staleness_s=10.0)
+
+        def tick(now, poison=None):
+            for telemetry in bundles.values():
+                for _ in range(50):
+                    telemetry.on_request_sent()
+                    telemetry.on_response(0.05, success=True)
+            scraper.scrape_once(now)
+            if poison is not None:
+                # What a live page carrying `requests_total{…} NaN` stores.
+                series = store.series(poison, PROXY_SAMPLE)
+                series._values[-1] = series._values[-1]._replace(
+                    requests_total=math.nan)
+            return controller.reconcile(now)
+
+        tick(0.0)
+        tick(5.0)
+        learned = controller.backends["a"].latency.value
+        assert learned < controller.config.default_latency_s
+        # "a" exports NaN for 30 s: a window edge is NaN at every reconcile.
+        poisoned = (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+        for now in poisoned:
+            weights = tick(now, poison="a")
+            assert weights == dict(sink.writes[-1][1])
+            assert all(isinstance(w, int) and w >= 1
+                       for w in weights.values())
+        assert controller.degraded_reconciles == 0
+        assert controller.reconcile_count == 2 + len(poisoned)
+        state = controller.backends["a"]
+        for ewma in (state.latency, state.success_rate, state.rps,
+                     state.inflight, controller.total_rps_ewma):
+            assert math.isfinite(ewma.value)
+        # "a" read as no data and, once stale, drifted back toward the
+        # default; "b", scraped by the same loop, kept learning.
+        assert state.latency.value > learned
+        assert controller.backends["b"].latency.value < learned
+        # Two clean scrapes later the window holds no NaN edge any more.
+        drifted = state.latency.value
+        tick(45.0)
+        tick(50.0)
+        assert controller.metrics_source.collect(
+            ["a"], 50.0, 10.0, 0.99)["a"] is None  # first edge: t=40
+        tick(55.0)
+        assert controller.metrics_source.collect(
+            ["a"], 55.0, 10.0, 0.99)["a"].rps == 10.0
+        assert state.latency.value < drifted
 
 
 class TestPauseResume:

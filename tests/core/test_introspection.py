@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.config import L3Config
 from repro.core.controller import L3Controller, MetricSample
-from repro.core.introspection import (
-    ControllerIntrospection,
+from repro.core.introspection import ControllerIntrospection
+from repro.telemetry.names import (
     LATENCY_EWMA_S,
     RECONCILE_COUNT,
     RELATIVE_CHANGE,

@@ -36,12 +36,10 @@ class TestRoundTrip:
         parsed = parse_exposition(render_exposition([telemetry]))
         series = telemetry.scrape_name
         assert set(parsed) == {series}
-        for metric in names.ALL_METRICS:
-            if metric in names.SERVER_SIDE_METRICS:
-                continue  # server-side series, not part of proxy bundles
-            stored = store.series(series, metric).latest_in_window(0.0, 7.0)
-            assert stored is not None, metric
-            assert parsed[series][metric] == stored[1], metric
+        _when, row = store.series(series, names.PROXY_SAMPLE).latest_in_window(0.0, 7.0)
+        assert set(parsed[series]) == set(names.PROXY_METRICS)
+        for metric in names.PROXY_METRICS:
+            assert parsed[series][metric] == getattr(row, metric), metric
 
     def test_bucket_tuples_are_cumulative_and_inf_terminated(self):
         telemetry = traffic_bundle()

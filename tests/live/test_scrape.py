@@ -44,8 +44,8 @@ class TestScrapeOnce:
         scraper = HttpScraper(store, [("h", 1)], FakeClock(4.0),
                               fetch=FakePage([telemetry]))
         assert scrape(scraper) == 1
-        assert store.series(SERIES, names.REQUESTS_TOTAL).latest_in_window(
-            0.0, 10.0) == (4.0, 1.0)
+        assert store.series(SERIES, names.PROXY_SAMPLE).latest_in_window(
+            0.0, 10.0) == (4.0, telemetry.sample())
 
     def test_feeds_prom_metrics_source_unchanged(self):
         """Scraped-over-HTTP pages drive the same windowed queries."""
@@ -87,11 +87,8 @@ class TestScrapeOnce:
         scraper = HttpScraper(store, [("h", 1), ("h", 2)], clock,
                               fetch=slow_fetch)
         scrape(scraper)
-        first = store.series(SERIES, names.REQUESTS_TOTAL).latest_in_window(
-            0.0, 10.0)
-        second = store.series(
-            "cluster-1|api/cluster-3",
-            names.REQUESTS_TOTAL).latest_in_window(0.0, 10.0)
+        first = store.series(SERIES, names.PROXY_SAMPLE).latest_in_window(0.0, 10.0)
+        second = store.series("cluster-1|api/cluster-3", names.PROXY_SAMPLE).latest_in_window(0.0, 10.0)
         assert first[0] == second[0] == 2.0
 
     def test_failed_target_contributes_nothing(self):
@@ -109,7 +106,7 @@ class TestScrapeOnce:
         assert scrape(scraper) == 1
         assert scraper.failed_scrapes == 1
         # The healthy target was still scraped in the same round.
-        assert store.series(SERIES, names.REQUESTS_TOTAL).latest_in_window(
+        assert store.series(SERIES, names.PROXY_SAMPLE).latest_in_window(
             0.0, 10.0) is not None
 
     def test_sustained_failure_starves_the_window_to_none(self):
@@ -143,8 +140,7 @@ class TestScrapeOnce:
         scraper = HttpScraper(store, [("h", 1)], FakeClock(99.0),
                               fetch=FakePage([telemetry]))
         scrape(scraper, now=5.0)
-        sample = store.series(SERIES, names.REQUESTS_TOTAL).latest_in_window(
-            0.0, 10.0)
+        sample = store.series(SERIES, names.PROXY_SAMPLE).latest_in_window(0.0, 10.0)
         assert sample[0] == 5.0
 
     def test_interval_validation(self):
@@ -175,14 +171,14 @@ class TestConcurrentRounds:
             round_task = asyncio.ensure_future(scraper.scrape_once())
             await asyncio.sleep(0)  # let both fetches start
             await asyncio.sleep(0)
-            landed = store.series(
-                SERIES, names.REQUESTS_TOTAL).latest_in_window(0.0, 10.0)
+            landed = store.series(SERIES, names.PROXY_SAMPLE).latest_in_window(0.0, 10.0)
             gate.set()
             answered = await round_task
             return landed, answered
 
         landed, answered = asyncio.run(scenario())
-        assert landed == (3.0, 0.0)  # fresh while port 9 still hung
+        # Fresh while port 9 still hung.
+        assert landed == (3.0, telemetry.sample())
         assert answered == 1
 
     def test_fetch_outliving_its_round_is_dropped(self):
@@ -214,8 +210,7 @@ class TestConcurrentRounds:
         scraper = asyncio.run(scenario())
         assert scraper.stale_drops == 1
         assert scraper.failed_scrapes == 0
-        latest = store.series(SERIES, names.REQUESTS_TOTAL).latest_in_window(
-            0.0, 10.0)
+        latest = store.series(SERIES, names.PROXY_SAMPLE).latest_in_window(0.0, 10.0)
         assert latest[0] == 3.0  # only round 2's stamp; no back-in-time
 
     def test_run_cancels_outstanding_rounds(self):

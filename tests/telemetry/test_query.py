@@ -2,7 +2,10 @@
 
 import math
 
+import pytest
+
 from repro.telemetry.metrics import BackendTelemetry
+from repro.telemetry.names import PROXY_SAMPLE
 from repro.telemetry.query import PromMetricsSource
 from repro.telemetry.scraper import Scraper
 from repro.telemetry.timeseries import TimeSeriesStore
@@ -135,26 +138,29 @@ class TestFailureLatency:
 
 
 class TestScopedNameMemoization:
-    def test_scoped_names_built_once_and_reused(self):
-        source = PromMetricsSource(TimeSeriesStore(), scope="cluster-1")
-        first = source._scoped("b")
-        second = source._scoped("b")
-        assert first == "cluster-1|b"
-        assert first is second  # memoized: the exact same string object
-        assert source._scoped_names == {"b": "cluster-1|b"}
+    """Series handles are resolved once per backend, not once per query."""
 
-    def test_unscoped_source_skips_the_memo(self):
-        source = PromMetricsSource(TimeSeriesStore())
-        assert source._scoped("b") == "b"
-        assert source._scoped_names == {}
+    def test_scoped_names_built_once_and_reused(self):
+        store = TimeSeriesStore()
+        source = PromMetricsSource(store, scope="cluster-1")
+        first = source._proxy_series("b")
+        assert first is store.series("cluster-1|b", PROXY_SAMPLE)
+        assert source._proxy_series("b") is first
+        assert source._proxy_handles == {"b": first}
+
+    def test_unscoped_source_reads_the_bare_series(self):
+        store = TimeSeriesStore()
+        source = PromMetricsSource(store)
+        assert source._proxy_series("b") is store.series("b", PROXY_SAMPLE)
 
     def test_server_names_memoized(self):
-        source = PromMetricsSource(TimeSeriesStore())
+        store = TimeSeriesStore()
+        source = PromMetricsSource(store, scope="cluster-1")
         source.server_queue("b", 10.0, 10.0)
-        first = source._server_names["b"]
+        handle = source._server_handles["b", "server_queue"]
+        assert handle is store.series("server|b", "server_queue")
         source.server_queue("b", 20.0, 10.0)
-        assert source._server_names["b"] is first
-        assert first == "server|b"
+        assert source._server_handles == {("b", "server_queue"): handle}
 
     def test_collect_uses_memoized_names(self):
         store = scraped_traffic(
@@ -162,10 +168,13 @@ class TestScopedNameMemoization:
             scrape_name="cluster-1|b")
         source = PromMetricsSource(store, scope="cluster-1")
         source.collect(["b"], 10.0, 10.0, 0.99)
-        cached = source._scoped_names["b"]
+        cached = source._proxy_handles["b"]
+        lookups = []
+        store.series = lambda *key: lookups.append(key)  # must not be hit
         sample = source.collect(["b"], 10.0, 10.0, 0.99)["b"]
         assert sample is not None
-        assert source._scoped_names["b"] is cached
+        assert source._proxy_handles["b"] is cached
+        assert lookups == []
 
 
 class TestNoTrafficDecayPath:
@@ -209,3 +218,138 @@ class TestNoTrafficDecayPath:
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[-1] > observed
         assert values[-1] <= config.default_latency_s
+
+
+def row_store(rows, name="b", max_age_s=300.0):
+    """A store whose ``name`` row series holds ``[(time, row), ...]``."""
+    store = TimeSeriesStore(max_age_s)
+    series = store.series(name, PROXY_SAMPLE)
+    for when, row in rows:
+        series.append(when, row)
+    return store
+
+
+def row(requests=0.0, failures=0.0, latency_s=0.02, inflight=0.0):
+    """A consistent row: ``requests - failures`` successes at ``latency_s``."""
+    telemetry = BackendTelemetry("b")
+    for i in range(int(requests)):
+        telemetry.on_request_sent()
+        telemetry.on_response(latency_s, success=i >= failures)
+    return telemetry.sample()._replace(inflight=inflight)
+
+
+class TestCounterResetsAndGaps:
+    """Rows whose counters misbehave read as no data, never as nonsense."""
+
+    def test_requests_going_backwards_yields_none(self):
+        # A replica re-bound on the same port restarts its counters.
+        store = row_store([(0.0, row(requests=500)), (5.0, row(requests=3))])
+        source = PromMetricsSource(store)
+        assert source.collect(["b"], 5.0, 10.0, 0.99)["b"] is None
+
+    def test_failures_going_backwards_never_exceeds_one(self):
+        before = row(requests=100, failures=40)
+        after = row(requests=150, failures=10)._replace(
+            success_latency_buckets=row(requests=200).success_latency_buckets)
+        source = PromMetricsSource(row_store([(0.0, before), (5.0, after)]))
+        sample = source.collect(["b"], 5.0, 10.0, 0.99)["b"]
+        assert sample.rps == 10.0
+        assert sample.success_rate == 1.0
+
+    def test_reset_recovers_once_the_window_moves_past_it(self):
+        store = row_store([(0.0, row(requests=500)), (5.0, row(requests=3)),
+                           (10.0, row(requests=13))])
+        source = PromMetricsSource(store)
+        assert source.collect(["b"], 10.0, 10.0, 0.99)["b"] is None
+        assert source.collect(["b"], 10.0, 6.0, 0.99)["b"].rps == 2.0
+
+    def test_gap_longer_than_the_window_yields_none(self):
+        store = row_store([(0.0, row(requests=5)), (5.0, row(requests=9)),
+                           (40.0, row(requests=90))])
+        source = PromMetricsSource(store)
+        assert source.collect(["b"], 40.0, 10.0, 0.99)["b"] is None
+        # The next scrape closes the gap: two samples in the window again.
+        store.series("b", PROXY_SAMPLE).append(45.0, row(requests=100))
+        assert source.collect(["b"], 45.0, 10.0, 0.99)["b"].rps == 2.0
+
+    def test_paused_scraper_starves_then_recovers(self, sim):
+        store = TimeSeriesStore()
+        scraper = Scraper(store, interval_s=5.0)
+        telemetry = BackendTelemetry("b")
+        scraper.register(telemetry)
+
+        def traffic(sim):
+            while True:
+                telemetry.on_request_sent()
+                telemetry.on_response(0.01, success=True)
+                yield sim.timeout(0.5)
+
+        sim.spawn(traffic(sim))
+        sim.spawn(scraper.run(sim))
+        source = PromMetricsSource(store)
+        sim.run(until=21.0)
+        assert source.collect(["b"], 20.0, 10.0, 0.99)["b"].rps == 2.0
+        scraper.pause()
+        sim.run(until=41.0)
+        assert scraper.skipped_scrapes == 4
+        assert source.collect(["b"], 40.0, 10.0, 0.99)["b"] is None
+        scraper.resume()
+        sim.run(until=51.0)
+        # 45 s and 50 s landed: the window holds two samples again.
+        assert source.collect(["b"], 50.0, 10.0, 0.99)["b"].rps == 2.0
+
+    def test_window_reads_survive_the_lazy_trim(self):
+        # 400 scrapes at 5 s against 300 s retention: > 256 samples
+        # expire, so the amortised trim runs underneath the reader.
+        store = TimeSeriesStore(max_age_s=300.0)
+        scraper = Scraper(store, interval_s=5.0)
+        telemetry = BackendTelemetry("b")
+        scraper.register(telemetry)
+        source = PromMetricsSource(store)
+        series = store.series("b", PROXY_SAMPLE)
+        for tick in range(1, 401):
+            for _ in range(10):
+                telemetry.on_request_sent()
+                telemetry.on_response(0.02, success=True)
+            now = 5.0 * tick
+            scraper.scrape_once(now)
+            if tick >= 3:
+                assert source.collect(["b"], now, 10.0, 0.99)["b"].rps == 2.0
+        assert len(series) == 61  # the live 300 s, whatever is untrimmed
+        assert len(series._times) < 400  # the trim did run
+        # Samples past the horizon are gone for readers either way.
+        assert series.window(0.0, 2000.0)[0][0] == 1700.0
+
+
+class TestNonFiniteSamples:
+    """Hostile input: the live parser accepts NaN/Inf sample values."""
+
+    @pytest.mark.parametrize("field", [
+        "requests_total", "failures_total", "success_latency_sum",
+        "success_latency_count", "inflight"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalar_yields_none(self, field, bad):
+        before, after = row(requests=10), row(requests=30, failures=2)
+        edges = [[(0.0, before), (5.0, after._replace(**{field: bad}))]]
+        if field != "inflight":  # a gauge is read at the window's end only
+            edges.append([(0.0, before._replace(**{field: bad})),
+                          (5.0, after)])
+        for rows in edges:
+            source = PromMetricsSource(row_store(rows))
+            assert source.collect(["b"], 5.0, 10.0, 0.99)["b"] is None
+
+    def test_non_finite_bucket_total_yields_none(self):
+        before, after = row(requests=10), row(requests=30)
+        buckets = after.success_latency_buckets[:-1] + (math.nan,)
+        source = PromMetricsSource(row_store(
+            [(0.0, before),
+             (5.0, after._replace(success_latency_buckets=buckets))]))
+        assert source.collect(["b"], 5.0, 10.0, 0.99)["b"] is None
+
+    def test_nan_failure_buckets_give_no_penalty_signal(self):
+        before, after = row(requests=10), row(requests=30, failures=5)
+        buckets = after.failure_latency_buckets[:-1] + (math.nan,)
+        source = PromMetricsSource(row_store(
+            [(0.0, before),
+             (5.0, after._replace(failure_latency_buckets=buckets))]))
+        assert source.failure_latency_quantile("b", 5.0, 10.0, 0.5) is None
