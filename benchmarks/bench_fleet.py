@@ -20,7 +20,11 @@ Results land in ``BENCH_fleet.json`` at the repository root; the
 committed copy is the baseline ``--check`` compares against (CI fails on
 a >30 % regression of the fast rate or the vectorization factor; the
 sharding speedup is compared only between multi-CPU measurements, and
-recorded as null on single-CPU hosts where it would be noise).
+recorded as null on single-CPU hosts where it would be noise). The
+committed file's ``tournament`` block is labelled ``"engine": "vector"``:
+those rows came from the since-deleted numpy-chunked engine, which was
+record-identical to ``fast`` — the latencies are what ``fast`` produces;
+``--check`` compares rates only.
 
 Run it::
 
@@ -157,8 +161,7 @@ def run_tournament(spec: FleetSpec, seed: int, duration_s: float) -> dict:
     """Race the committed leaderboard's top finishers on the fleet cell.
 
     The zoo balancers are per-request (not in ``SHARD_ALGORITHMS``), so
-    they run through the **vector** engine — record-identical to the
-    event kernel, numpy-chunked hot path.
+    they run through the **fast** engine.
     """
     ranking = []
     if TOURNAMENT_PATH.exists():
@@ -172,7 +175,7 @@ def run_tournament(spec: FleetSpec, seed: int, duration_s: float) -> dict:
         started = time.perf_counter()
         result = run_scenario_benchmark(
             scenario, algorithm, duration_s=duration_s, seed=seed,
-            engine="vector")
+            engine="fast")
         wall = time.perf_counter() - started
         latencies = result.latency_percentiles()
         rows[algorithm] = {
@@ -183,7 +186,7 @@ def run_tournament(spec: FleetSpec, seed: int, duration_s: float) -> dict:
             "wall_clock_s": round(wall, 3),
         }
     return {
-        "engine": "vector",
+        "engine": "fast",
         "cell": scenario.name,
         "duration_s": duration_s,
         "seed": seed,
@@ -274,7 +277,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tournament", action="store_true",
                         help="also race the committed tournament "
                              f"leaderboard's top {TOURNAMENT_TOP_N} on "
-                             "the fleet cell (vector engine) and record "
+                             "the fleet cell (fast engine) and record "
                              "per-algorithm latency")
     parser.add_argument("--tournament-duration", type=float,
                         default=120.0, metavar="SECONDS",
@@ -317,7 +320,7 @@ def main(argv=None) -> int:
               f"({sharding['cpus']} cpu host)")
     if "tournament" in report:
         print(f"tournament on {report['tournament']['cell']} "
-              f"({report['tournament']['duration_s']:g}s, vector engine):")
+              f"({report['tournament']['duration_s']:g}s, fast engine):")
         for algorithm, row in report["tournament"]["rows"].items():
             print(f"  {algorithm:<14} p50 {row['p50_ms']:>8.2f} ms   "
                   f"p99 {row['p99_ms']:>8.2f} ms   "

@@ -13,9 +13,9 @@ Run with::
     python examples/autoscaling.py
 """
 
+from repro.autoscale.hpa import Autoscaler, AutoscalerConfig
 from repro.balancers.l3 import L3Balancer
 from repro.core.config import L3Config
-from repro.mesh.autoscaler import Autoscaler, AutoscalerConfig
 from repro.mesh.mesh import ServiceMesh
 from repro.mesh.network import WanLink
 from repro.sim.engine import Simulator

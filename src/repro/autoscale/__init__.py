@@ -22,8 +22,8 @@ opt-in: with no policy configured, no process, gauge, or RNG draw is
 created and simulation digests are byte-identical to autoscale-free
 builds.
 
-The original minimal HPA loop absorbed from ``repro.mesh.autoscaler``
-lives on in :mod:`repro.autoscale.hpa`; the elasticity benchmark cells
+The seed's original minimal HPA loop lives on in
+:mod:`repro.autoscale.hpa`; the elasticity benchmark cells
 shared by the figure suite and CI live in :mod:`repro.autoscale.study`
 (kept out of this namespace to avoid importing the bench stack at
 package-import time).

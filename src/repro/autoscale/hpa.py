@@ -1,4 +1,4 @@
-"""The original simple HPA loop (absorbed from ``repro.mesh.autoscaler``).
+"""The original simple HPA loop (the seed's first autoscaler).
 
 §3.2 motivates the rate controller by its interplay with cluster
 autoscaling: on an RPS surge, spreading load "enables the cluster's
@@ -10,8 +10,7 @@ and scales with a flat reaction delay and scale-down cooldown.
 It remains as the minimal executable reference of the HPA formula; the
 full co-simulation subsystem — telemetry-driven signals, provisioning
 pipeline, stabilization windows, cold-start warmup, cost accounting —
-is :class:`~repro.autoscale.controller.BackendAutoscaler`. Old imports
-via ``repro.mesh.autoscaler`` keep working through a re-export shim.
+is :class:`~repro.autoscale.controller.BackendAutoscaler`.
 """
 
 from __future__ import annotations

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.balancers.base import Balancer
+from repro.balancers.periodic import PeriodicSplitBalancer
 from repro.core.ewma import Ewma, half_life_to_beta
 from repro.errors import ConfigError
-from repro.mesh.traffic_split import TrafficSplit
 from repro.sim.engine import Simulator
 
 _MIN_SCORE = 1e-6
@@ -174,32 +173,18 @@ class C3Controller:
             return
 
 
-class C3Balancer(Balancer):
+class C3Balancer(PeriodicSplitBalancer):
     """C3 adaptation driving a TrafficSplit — the paper's comparator."""
+
+    loop_label = "c3"
 
     def __init__(self, sim: Simulator, service: str, backend_names,
                  metrics_source, config: C3Config | None = None,
                  propagation_delay_s: float = 0.5):
-        self.sim = sim
         self.config = config or C3Config()
-        self.split = TrafficSplit(
+        super().__init__(
             sim, service, backend_names,
+            lambda split: C3Controller(
+                list(backend_names), metrics_source, split,
+                config=self.config, start_time=sim.now),
             propagation_delay_s=propagation_delay_s)
-        self.controller = C3Controller(
-            list(backend_names), metrics_source, self.split,
-            config=self.config, start_time=sim.now)
-        self._loop = None
-
-    def pick(self, rng, now: float) -> str:
-        return self.split.pick(rng)
-
-    def start(self, sim) -> None:
-        if self._loop is not None and self._loop.is_alive:
-            return
-        self._loop = sim.spawn(
-            self.controller.run(sim), name=f"c3/{self.split.service}")
-
-    def stop(self) -> None:
-        if self._loop is not None and self._loop.is_alive:
-            self._loop.interrupt()
-        self._loop = None

@@ -9,39 +9,24 @@ every request.
 
 from __future__ import annotations
 
-from repro.balancers.base import Balancer
+from repro.balancers.periodic import PeriodicSplitBalancer
 from repro.core.config import L3Config
 from repro.core.controller import L3Controller
-from repro.mesh.traffic_split import TrafficSplit
 from repro.sim.engine import Simulator
 
 
-class L3Balancer(Balancer):
+class L3Balancer(PeriodicSplitBalancer):
     """The paper's system: L3 controller driving a TrafficSplit."""
+
+    loop_label = "l3"
 
     def __init__(self, sim: Simulator, service: str, backend_names,
                  metrics_source, config: L3Config | None = None,
                  propagation_delay_s: float = 0.5):
-        self.sim = sim
         self.config = config or L3Config()
-        self.split = TrafficSplit(
+        super().__init__(
             sim, service, backend_names,
+            lambda split: L3Controller(
+                list(backend_names), metrics_source, split,
+                config=self.config, start_time=sim.now),
             propagation_delay_s=propagation_delay_s)
-        self.controller = L3Controller(
-            list(backend_names), metrics_source, self.split,
-            config=self.config, start_time=sim.now)
-        self._loop = None
-
-    def pick(self, rng, now: float) -> str:
-        return self.split.pick(rng)
-
-    def start(self, sim) -> None:
-        if self._loop is not None and self._loop.is_alive:
-            return
-        self._loop = sim.spawn(
-            self.controller.run(sim), name=f"l3/{self.split.service}")
-
-    def stop(self) -> None:
-        if self._loop is not None and self._loop.is_alive:
-            self._loop.interrupt()
-        self._loop = None

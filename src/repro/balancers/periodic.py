@@ -1,15 +1,14 @@
 """Shared glue for balancers built as controller + TrafficSplit pairs.
 
-L3 and C3 each hand-wire the same three-piece sandwich: a TrafficSplit
-the data plane samples, a controller with a periodic ``reconcile`` that
-writes weights into it, and a simulator process running the reconcile
-loop. The new weight solvers (KnapsackLB, the service-rate model) repeat
-that shape, so this module factors it once: a controller only has to
-provide ``reconcile(now)``/``pause()``/``resume()`` plus the
+L3, C3 and the weight solvers (KnapsackLB, the service-rate model) are
+the same three-piece sandwich: a TrafficSplit the data plane samples, a
+controller with a periodic ``reconcile`` that writes weights into it,
+and a simulator process running the reconcile loop. This module factors
+it once: a controller only has to provide
+``reconcile(now)``/``pause()``/``resume()`` plus the
 ``last_weights``/``reconcile_count`` introspection fields, and
 :class:`PeriodicSplitBalancer` supplies the split, the pick path and the
-loop lifecycle. (L3 and C3 keep their original wiring untouched — they
-are pinned by the golden determinism digest.)
+loop lifecycle.
 """
 
 from __future__ import annotations

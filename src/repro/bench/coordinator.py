@@ -19,7 +19,7 @@ from repro.balancers.factory import make_balancer
 from repro.core.config import L3Config
 from repro.errors import ConfigError
 from repro.faults.base import FaultInjector
-from repro.mesh.fastdispatch import FastRequestEngine, VectorRequestEngine
+from repro.mesh.fastdispatch import FastRequestEngine
 from repro.mesh.mesh import ServiceMesh
 from repro.mesh.network import WanLink
 from repro.sim.engine import Simulator
@@ -36,12 +36,10 @@ SCENARIO_SERVICE = "api"
 
 # Request-lifecycle engines for scenario benchmarks: "fast" drives each
 # request as a pooled-callback state machine
-# (:mod:`repro.mesh.fastdispatch`); "vector" is its numpy-chunked twin
-# (banked RNG draws, chunked telemetry, inline tail hops — requires the
-# [fleet] extra); "process" spawns one generator process per request
-# (the original reference implementation). All three are event-order
-# identical — same records, same digests.
-ENGINE_NAMES = ("fast", "vector", "process")
+# (:mod:`repro.mesh.fastdispatch`); "process" spawns one generator
+# process per request (the original reference implementation). The two
+# are event-order identical — same records, same digests.
+ENGINE_NAMES = ("fast", "process")
 
 
 @dataclass(frozen=True)
@@ -252,6 +250,10 @@ def run_scenario_benchmark(scenario: str | Scenario, algorithm: str,
             builds.
     """
     env = env or ScenarioBenchConfig()
+    if engine == "vector":
+        # Alias kept only because benchmarks/ledger/workloads.py, which
+        # this change may not touch, passes it for its fleet-vector cell.
+        engine = "fast"
     if engine not in ENGINE_NAMES:
         raise ConfigError(
             f"engine must be one of {ENGINE_NAMES}: {engine!r}")
@@ -318,14 +320,9 @@ def run_scenario_benchmark(scenario: str | Scenario, algorithm: str,
         proxy, scenario.rps, rng.stream("loadgen"), records,
         arrival=env.arrival)
     total = env.warmup_s + duration_s
-    dispatcher = None
     if engine == "fast":
-        dispatcher = FastRequestEngine(sim, proxy, records)
-    elif engine == "vector":
-        dispatcher = VectorRequestEngine(sim, proxy, records)
-        dispatcher.attach_scraper(scraper)
-    if dispatcher is not None:
-        loadgen.start_fast(sim, total, dispatcher)
+        loadgen.start_fast(
+            sim, total, FastRequestEngine(sim, proxy, records))
     else:
         sim.spawn(loadgen.run(sim, total), name="loadgen")
 
@@ -336,12 +333,6 @@ def run_scenario_benchmark(scenario: str | Scenario, algorithm: str,
     scrape_proc.interrupt()
     # Let in-flight requests finish so tail samples are not truncated.
     sim.run(until=total + env.drain_s)
-    events_processed = sim.events_processed
-    if engine == "vector":
-        # Fold the final partial telemetry chunk (post-run readers) and
-        # count the tail hops the engine ran inline instead of popping.
-        dispatcher.finalize()
-        events_processed += dispatcher.inlined_hops
 
     measured = [
         r for r in records
@@ -356,7 +347,7 @@ def run_scenario_benchmark(scenario: str | Scenario, algorithm: str,
         duration_s=duration_s, records=measured,
         controller_weights=weights,
         fault_log=list(injector.log) if injector else [],
-        tracer=tracer, events_processed=events_processed)
+        tracer=tracer, events_processed=sim.events_processed)
     if autoscale_set is not None:
         result.autoscale_events = autoscale_set.event_log()
         result.replica_seconds = autoscale_set.replica_seconds()

@@ -84,10 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--engine", choices=ENGINE_NAMES,
                      default="fast",
                      help="request-lifecycle engine: 'fast' (pooled "
-                          "callbacks, default), 'vector' (numpy-chunked "
-                          "RNG + telemetry, needs the [fleet] extra) or "
-                          "'process' (one generator per request); all "
-                          "three produce byte-identical results")
+                          "callbacks, default) or 'process' (one "
+                          "generator per request); both produce "
+                          "byte-identical results")
 
     live = commands.add_parser(
         "live", help="run the live localhost testbed (real sockets, "

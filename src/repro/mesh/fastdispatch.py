@@ -6,7 +6,7 @@ overhead, WAN legs, replica queue/execution, retry back-off, deadline
 racing) allocates a fresh ``Timeout``/``Event`` plus generator-resume
 machinery — roughly a dozen heap events per request. This module rewrites
 that lifecycle as a flat state machine over pooled callback events
-(:class:`~repro.sim.fastpath.FastPath`): the same lifecycle, the same
+(:class:`~repro.sim.events.EventPool`): the same lifecycle, the same
 side effects, a fraction of the allocations.
 
 **Equivalence contract.** The fast path must be *event-order identical*
@@ -60,8 +60,7 @@ import math
 from repro.errors import MeshError
 from repro.mesh.cluster import split_backend_name
 from repro.mesh.request import RequestRecord
-from repro.sim import vectorpath
-from repro.sim.fastpath import FastPath
+from repro.sim.events import EventPool
 from repro.tracing import model as trace_model
 
 
@@ -81,16 +80,14 @@ class FastRequestEngine:
         self.sim = sim
         self.proxy = proxy
         self.records = records
-        self.fast = FastPath(sim, max_free=max_free)
+        self.pool = EventPool(sim, max_free=max_free)
         # Pre-bound hot-path methods: one call frame per hop instead of
-        # an attribute-walk through facade objects.
-        self.sched = self.fast.pool.schedule
+        # an attribute walk.
+        self.sched = self.pool.schedule
         self.net_delay = proxy.mesh.network.delay
         self._max_free = max_free
         self._machines: list[_RequestMachine] = []
         self._flights: list[_Flight] = []
-        self.machines_created = 0
-        self.flights_created = 0
         # backend name -> (Backend, target_cluster): the pick set is
         # fixed for a deployed service, so the split/lookup chain of the
         # reference implementation is resolved once per backend.
@@ -108,7 +105,6 @@ class FastRequestEngine:
             machine = machines.pop()
         else:
             machine = _RequestMachine(self)
-            self.machines_created += 1
         machine.intended_start_s = intended_start_s
         self.sched(0.0, machine._start_cb)
 
@@ -130,16 +126,11 @@ class FastRequestEngine:
         after the machine moved on — so they are never pooled; the
         unraced common case reuses pooled flights.
         """
-        if raced:
-            flight = self.flight_class(self)
-            self.flights_created += 1
+        flights = self._flights
+        if raced or not flights:
+            flight = _Flight(self)
         else:
-            flights = self._flights
-            if flights:
-                flight = flights.pop()
-            else:
-                flight = self.flight_class(self)
-                self.flights_created += 1
+            flight = flights.pop()
         flight.machine = machine
         flight.backend = machine.backend
         flight.target_cluster = machine.target_cluster
@@ -186,24 +177,6 @@ class FastRequestEngine:
             found = (backend, target_cluster, telemetry)
             self._targets[backend_name] = found
         return found
-
-    def tail0(self, cb) -> None:
-        """Schedule a delay-0 hop that sits at a *tail call position*.
-
-        Call sites must guarantee the caller (and its whole transitive
-        caller chain up to the run loop) does nothing after this call —
-        only then may a subclass run ``cb`` inline when the agenda proves
-        the hop would pop immediately next anyway. The base engine always
-        schedules, preserving the one-pop-per-hop event count.
-        """
-        self.sched(0.0, cb)
-
-    def stats(self) -> dict:
-        """Pool telemetry for benchmarks and the event-pool tests."""
-        stats = self.fast.stats()
-        stats["machines_created"] = self.machines_created
-        stats["flights_created"] = self.flights_created
-        return stats
 
 
 class _RequestMachine:
@@ -420,7 +393,7 @@ class _Flight:
     """
 
     __slots__ = (
-        "engine", "sim", "proxy", "sched", "net_delay", "tail0",
+        "engine", "sim", "proxy", "sched", "net_delay",
         "machine", "backend", "target_cluster", "ctx", "replica",
         "raced", "anyof_triggered", "call_processed", "success",
         "holding_slot", "wan_span", "queue_span", "exec_span",
@@ -435,7 +408,6 @@ class _Flight:
         self.proxy = engine.proxy
         self.sched = engine.sched
         self.net_delay = engine.net_delay
-        self.tail0 = engine.tail0
         self.machine = None
         self.backend = None
         self.target_cluster = ""
@@ -505,12 +477,9 @@ class _Flight:
         server = replica.server
         if server.try_acquire():
             # Mirror the immediate-grant acquire event (delay-0 pop).
-            # Tail position: _arrived's entire caller chain (_begin /
-            # _after_overhead / a timer pop) returns straight to the run
-            # loop after this.
-            self.tail0(self._acquired_cb)
+            self.sched(0.0, self._acquired_cb)
         else:
-            server.enqueue_waiter(self.engine.fast.gate(self._acquired_cb))
+            server.enqueue_waiter(self.engine.pool.gate(self._acquired_cb))
 
     def _acquired(self) -> None:
         sim = self.sim
@@ -571,7 +540,7 @@ class _Flight:
                             "down": replica.down_mode})
         if replica.down_mode == "blackhole":
             replica._blackhole_gates.append(
-                self.engine.fast.gate(self._down_done_cb))
+                self.engine.pool.gate(self._down_done_cb))
         else:
             self.sched(replica.profile.failure_latency_s, self._down_done_cb)
 
@@ -623,8 +592,7 @@ class _Flight:
             machine._attempt_end(success, False)
             return
         # Mirror: the forward process's completion event (delay-0 pop).
-        # Tail position: _returned's caller chain ends here.
-        self.tail0(self._completion_cb)
+        self.sched(0.0, self._completion_cb)
 
     # -- deadline race (mirror of _forward_with_deadline) -------------- #
 
@@ -633,7 +601,7 @@ class _Flight:
         self.call_processed = True
         if not self.anyof_triggered:
             self.anyof_triggered = True
-            self.tail0(self._anyof_cb)
+            self.sched(0.0, self._anyof_cb)
         # else: the deadline already triggered the race — this pop is the
         # abandoned call's side-effect-free completion, as in the
         # generator engine.
@@ -642,7 +610,7 @@ class _Flight:
         """The deadline timeout pop: may trigger the any-of."""
         if not self.anyof_triggered:
             self.anyof_triggered = True
-            self.tail0(self._anyof_cb)
+            self.sched(0.0, self._anyof_cb)
 
     def _anyof(self) -> None:
         """The AnyOf pop: resume the machine with the race outcome.
@@ -659,175 +627,3 @@ class _Flight:
         else:
             machine.proxy.timeouts += 1
             machine._attempt_end(False, True)
-
-
-# The flight implementation an engine builds in _flight(); the vector
-# engine swaps in _VectorFlight. A class attribute (not a constructor
-# argument) so subclasses stay one line.
-FastRequestEngine.flight_class = _Flight
-
-
-class _VectorFlight(_Flight):
-    """A flight whose service draws come from a per-replica z-bank.
-
-    Only ``_acquired`` differs from :class:`_Flight`: replicas whose
-    stream is bankable (constant-zero failure probability — see
-    :func:`repro.sim.vectorpath.bankable_profile`) take their lognormal
-    z from the replica's :class:`~repro.sim.vectorpath.ZQueue` instead of
-    running the scalar rejection loop; everything else falls back to the
-    scalar sampler so mixed fleets stay correct.
-    """
-
-    __slots__ = ()
-
-    def _acquired(self) -> None:
-        sim = self.sim
-        ctx = self.ctx
-        if self.queue_span is not None:
-            ctx.end(self.queue_span, sim.now)
-            self.queue_span = None
-        replica = self.replica
-        if not replica.up:
-            self._begin_down(holding_slot=True)
-            return
-        now = sim.now
-        profile = replica.profile
-        if ctx is not None:
-            self.exec_span = ctx.start(
-                trace_model.SERVER_EXEC, trace_model.SERVER, now,
-                attributes={"replica": replica.name})
-        zqueue = self.engine._zqueue_for(replica)
-        if zqueue is not None:
-            # Bankable: sample_failure would return False without a
-            # draw, so the success path is unconditional.
-            self.sched(
-                vectorpath.zqueue_service_time(profile, zqueue, now)
-                * replica.service_time_scale,
-                self._exec_ok_cb)
-        elif profile.sample_failure(replica.rng, now):
-            self.sched(profile.failure_latency_s, self._exec_failed_cb)
-        else:
-            self.sched(profile.sample_service_time(replica.rng, now)
-                       * replica.service_time_scale,
-                       self._exec_ok_cb)
-
-
-class VectorRequestEngine(FastRequestEngine):
-    """The numpy-chunked twin of :class:`FastRequestEngine`.
-
-    Same event order, same records, same golden digest — the engine-
-    level changes are purely in *how* the numbers are produced and
-    accounted:
-
-    * arrival gaps and service-time normals come from numpy block draws
-      that are bit-identical to the scalar stream
-      (:mod:`repro.sim.vectorpath`, RNG-transplant contract);
-    * per-request telemetry buffers in plain lists and folds into the
-      scraped counters/histograms in one numpy pass per scrape interval
-      (:class:`~repro.sim.vectorpath.BufferedTelemetry`);
-    * provably-next delay-0 hops at tail call positions run inline
-      instead of round-tripping through the heap (:meth:`tail0`) —
-      ``events_processed`` still counts them, keeping the events/sec
-      accounting comparable with the fast engine.
-
-    Requires numpy (the ``[fleet]`` extra); raises
-    :class:`~repro.errors.ConfigError` at construction when it is
-    missing or produces non-identical uniforms.
-    """
-
-    flight_class: type  # assigned below (class body can't see it yet)
-
-    def __init__(self, sim, proxy, records: list, max_free: int = 512):
-        vectorpath.require_numpy()
-        vectorpath.assert_bit_identical()
-        super().__init__(sim, proxy, records, max_free=max_free)
-        self._heap = sim._heap
-        # replica name -> ZQueue (bankable) or None (scalar fallback).
-        self._zqueues: dict[str, object] = {}
-        self._buffers: list = []
-        # Delay-0 hops run inline by tail0 instead of popped from the
-        # heap. The simulator's run loop tracks pops in a local and
-        # writes events_processed back only when it returns, so inline
-        # hops are counted here and added by readers (the coordinator)
-        # to keep events/sec comparable with the fast engine.
-        self.inlined_hops = 0
-
-    # -- draws ---------------------------------------------------------- #
-
-    def _zqueue_for(self, replica):
-        found = self._zqueues.get(replica.name, _UNSET)
-        if found is _UNSET:
-            if vectorpath.bankable_profile(replica.profile):
-                found = vectorpath.ZQueue(replica.rng)
-            else:
-                found = None
-            self._zqueues[replica.name] = found
-        return found
-
-    def make_gap_sampler(self, loadgen):
-        """A banked-uniform Poisson gap sampler for ``_FastArrivals``.
-
-        Returns None for arrival modes that draw nothing (uniform), in
-        which case the caller keeps the loadgen's scalar ``_gap``.
-        """
-        if loadgen.arrival != "poisson":
-            return None
-        bank = vectorpath.UniformBank(loadgen.rng)
-        series = loadgen.rps
-
-        def gap(now, _next=bank.next, _log=math.log):
-            rate = (series._values[0] if series._constant
-                    else series.value_at(now))
-            if rate < 1e-9:
-                rate = 1e-9
-            # Mirror of random.Random.expovariate.
-            return -_log(1.0 - _next()) / rate
-
-        return gap
-
-    # -- telemetry chunking --------------------------------------------- #
-
-    def _resolve(self, backend_name: str) -> tuple:
-        found = self._targets.get(backend_name)
-        if found is None:
-            backend, target_cluster, telemetry = super()._resolve(
-                backend_name)
-            buffered = vectorpath.BufferedTelemetry(telemetry)
-            self._buffers.append(buffered)
-            found = (backend, target_cluster, buffered)
-            self._targets[backend_name] = found
-        return found
-
-    def flush_telemetry(self) -> None:
-        """Fold every buffered chunk into the scraped telemetry."""
-        for buffered in self._buffers:
-            buffered.flush()
-
-    def attach_scraper(self, scraper) -> None:
-        """Flush chunks right before every scrape (the chunk boundary)."""
-        scraper.pre_scrape = self.flush_telemetry
-
-    def finalize(self) -> None:
-        """Flush the last partial chunk and release banked rng streams."""
-        self.flush_telemetry()
-        for zqueue in self._zqueues.values():
-            if zqueue is not None:
-                zqueue.release()
-
-    # -- inline tail hops ------------------------------------------------ #
-
-    def tail0(self, cb) -> None:
-        heap = self._heap
-        if heap and heap[0][0] <= self.sim._now:
-            # An already-queued event shares this timestamp and would pop
-            # first; keep the heap round-trip to preserve order.
-            self.sched(0.0, cb)
-        else:
-            # The hop would pop immediately next: run it inline. Counted
-            # so events_processed matches the fast engine exactly.
-            self.inlined_hops += 1
-            cb()
-
-
-_UNSET = object()
-VectorRequestEngine.flight_class = _VectorFlight

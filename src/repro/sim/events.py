@@ -224,11 +224,11 @@ class PooledCallback(Event):
     """A reusable zero-argument callback event owned by an :class:`EventPool`.
 
     The allocation-lean primitive behind the fast-path request engine
-    (:mod:`repro.sim.fastpath` / :mod:`repro.mesh.fastdispatch`): instead
-    of one fresh ``Timeout`` + generator-resume machinery per hop, a hop
-    is one pooled event carrying a pre-bound method. The event recycles
-    itself back into its pool *before* invoking the callback, so a chain
-    of hops typically reuses one object end to end.
+    (:mod:`repro.mesh.fastdispatch`): instead of one fresh ``Timeout`` +
+    generator-resume machinery per hop, a hop is one pooled event
+    carrying a pre-bound method. The event recycles itself back into its
+    pool *before* invoking the callback, so a chain of hops typically
+    reuses one object end to end.
 
     Reuse contract (enforced by the pool, tested in
     ``tests/sim/test_event_pool.py``):

@@ -1,8 +1,8 @@
 """Cluster-sharded fleet execution with epoch-barrier merges.
 
-The vector engine (``engine="vector"``) is record-for-record identical
-to the event kernel, which caps its speed at the kernel's own event
-rate. This module trades that equivalence for bulk throughput: it
+The per-event engines (``engine="fast"`` / ``"process"``) are capped at
+the event kernel's own event rate. This module trades their
+record-for-record equivalence for bulk throughput: it
 executes a fleet scenario as a *bulk-synchronous* computation whose only
 determinism contract is with **itself** — a fixed ``(scenario, seed)``
 produces byte-identical results for **every** shard count (``jobs=1``
@@ -528,7 +528,7 @@ def run_sharded_benchmark(scenario, algorithm: str = "l3",
     if algorithm not in SHARD_ALGORITHMS:
         raise ConfigError(
             f"the shard engine runs {SHARD_ALGORITHMS}; {algorithm!r} "
-            "needs the per-event engines (engine=\"fast\"/\"vector\")")
+            "needs a per-event engine (engine=\"fast\")")
     topology = getattr(scenario, "topology", None)
     if topology is None:
         raise ConfigError(

@@ -1,420 +1,27 @@
-"""Numpy-banked draws and chunked telemetry for the vector engine.
+"""The numpy gate of the ``shard`` engine (the optional ``[fleet]`` extra).
 
-The vector engine (``engine="vector"``, :class:`VectorRequestEngine` in
-:mod:`repro.mesh.fastdispatch`) keeps the fast engine's event-order
-contract — record-for-record identical output — while moving its RNG-
-and telemetry-heavy inner loops from per-event scalar work to per-chunk
-numpy batches. This module is the numerical substrate; it knows nothing
-about proxies or replicas.
-
-**The RNG-compatibility contract.** CPython's ``random.Random`` and
-``numpy.random.RandomState`` share the MT19937 generator *and* the
-53-bit uniform construction (``(a*2**26 + b) * 2**-53`` from two raw
-32-bit words), so a RandomState seeded by transplanting a
-``random.Random``'s state produces **bit-identical** uniforms in the
-identical stream order. Each bank below transplants the state, draws a
-block, and writes the advanced state back — scalar draws can resume on
-the same stream mid-run and continue exactly where the block ended.
-This is verified at import-from-engine time by :func:`assert_bit_identical`
-(the vector twin of the fast path's ``NV_MAGICCONST`` guard): if the
-host's numpy ever stops matching, the engine refuses to start instead of
-silently diverging.
-
-What is *not* bit-identical across libms is ``log``/``exp``:
-``numpy.log`` and ``math.log`` disagree in the last ulp on ~0.4% of
-inputs on common hosts. The banks therefore use numpy only where a
-last-ulp wobble is provably harmless and fall back to ``math`` scalars
-at decision boundaries:
-
-* :class:`UniformBank` returns raw uniforms (no libm involved).
-* :class:`ZQueue` evaluates the Kinderman–Monahan acceptance test
-  ``z²/4 <= -log(u2)`` in bulk with ``numpy.log``, then *re-checks with
-  scalar* ``math.log`` every sample whose margin is inside
-  ``1e-9`` — far wider than numpy's worst-case log error — so the
-  accept/reject **decision** always matches the scalar loop bit for bit.
-  The accepted ``z`` itself involves only IEEE ``*-/`` (elementwise
-  numpy ≡ scalar), and the final ``exp(mu + z*sigma)`` stays a
-  ``math.exp`` scalar at consumption time.
+Lazy: importing this module never imports numpy.
 """
+# Kept under this module path only because benchmarks/ledger/test_ledger.py,
+# which this change may not touch, imports HAVE_NUMPY from here.
 
 from __future__ import annotations
 
-import math
-import random as _random
+import importlib.util
 
-from repro.errors import ConfigError, TelemetryError
-from repro.sim.rng import NV_MAGICCONST, Z_P99
+from repro.errors import ConfigError
 
-try:  # numpy is the optional [fleet] extra — see pyproject.toml
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
-_EXTRA_HINT = (
-    "the vector engine needs numpy, which is the optional [fleet] extra "
-    "of this package — install it with `pip install 'repro[fleet]'` (or "
-    "`pip install numpy`), or run with engine=\"fast\" instead")
-
-# Acceptance margin below which the K-M decision is re-checked with
-# math.log. numpy's log error is <= a few ulps (~1e-15 relative, so
-# ~8e-15 absolute for |log u2| <= 36); 1e-9 is safely generous while
-# still re-checking almost nothing.
-_LOG_BOUNDARY = 1e-9
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 
 def require_numpy():
-    """Return numpy, or raise a ConfigError naming the [fleet] extra."""
-    if _np is None:
-        raise ConfigError(_EXTRA_HINT)
-    return _np
-
-
-# --------------------------------------------------------------------- #
-# MT19937 state transplant
-# --------------------------------------------------------------------- #
-
-def transplant_state(rng: _random.Random):
-    """A numpy RandomState positioned exactly where ``rng`` is.
-
-    ``random.Random.getstate()`` is ``(3, internal, gauss_next)`` where
-    ``internal`` is the 624-word MT key plus the word index; RandomState
-    accepts the same pair verbatim.
-    """
-    np = require_numpy()
-    version, internal, _gauss = rng.getstate()
-    if version != 3 or len(internal) != 625:
+    """Import and return numpy, or raise a ConfigError naming ``[fleet]``."""
+    try:
+        import numpy
+    except ImportError:
         raise ConfigError(
-            f"unsupported random.Random state (version {version}, "
-            f"{len(internal)} words); cannot transplant to numpy")
-    state = np.random.RandomState()
-    # fromiter converts the 624-word key in one C pass (asarray on a
-    # tuple of Python ints is several times slower).
-    state.set_state(
-        ("MT19937", np.fromiter(internal, dtype=np.uint64, count=624),
-         internal[624]))
-    return state
-
-
-def sync_back(rng: _random.Random, state) -> None:
-    """Advance ``rng`` to where the transplanted ``state`` has moved.
-
-    After this, scalar ``rng.random()`` draws continue the stream exactly
-    where the numpy block ended. The gauss cache is dropped (None): the
-    engine's streams never use ``random.gauss``.
-    """
-    _name, key, pos, _has_gauss, _cached = state.get_state(legacy=True)
-    # .tolist() converts the key to Python ints in one C pass.
-    rng.setstate((3, tuple(key.tolist()) + (int(pos),), None))
-
-
-_probe_result: bool | None = None
-
-
-def numpy_bit_identical() -> bool:
-    """Whether this host's numpy reproduces CPython uniforms bit-for-bit.
-
-    Draws the same stream both ways (including a transplant-back
-    continuity check) and compares exactly. Cached after the first call.
-    """
-    global _probe_result
-    if _probe_result is None:
-        require_numpy()
-        reference = _random.Random(0xD1CE)
-        twin = _random.Random(0xD1CE)
-        state = transplant_state(twin)
-        block = state.random_sample(64).tolist()
-        sync_back(twin, state)
-        _probe_result = (
-            block == [reference.random() for _ in range(64)]
-            and twin.random() == reference.random())
-    return _probe_result
-
-
-def assert_bit_identical() -> None:
-    """Refuse to run on a numpy whose uniforms diverge from CPython's."""
-    if not numpy_bit_identical():
-        raise ConfigError(
-            "this numpy's MT19937 uniforms are not bit-identical to "
-            "CPython's random.Random — the vector engine cannot keep its "
-            "record-for-record equivalence contract on this host; run "
-            'with engine="fast" instead')
-
-
-# --------------------------------------------------------------------- #
-# Banks
-# --------------------------------------------------------------------- #
-
-class UniformBank:
-    """Block-drawn uniforms, bit-identical to serial ``rng.random()``.
-
-    One state transplant per ``block`` draws replaces ``block`` method
-    calls through ``random.Random``. ``tolist()`` converts eagerly so
-    consumers receive plain Python floats (numpy scalars would leak into
-    agenda timestamps and request records, changing reprs and digests).
-    """
-
-    __slots__ = ("rng", "block", "_buf", "_idx")
-
-    def __init__(self, rng: _random.Random, block: int = 4096):
-        if block < 1:
-            raise ConfigError(f"bank block must be >= 1: {block}")
-        self.rng = rng
-        self.block = block
-        self._buf: list[float] = []
-        self._idx = 0
-
-    def next(self) -> float:
-        idx = self._idx
-        buf = self._buf
-        if idx >= len(buf):
-            state = transplant_state(self.rng)
-            self._buf = buf = state.random_sample(self.block).tolist()
-            sync_back(self.rng, state)
-            idx = 0
-        self._idx = idx + 1
-        return buf[idx]
-
-
-class ZQueue:
-    """Banked Kinderman–Monahan normal variates for one replica stream.
-
-    ``BackendProfile.sample_service_time`` consumes exactly two uniforms
-    per rejection-loop iteration, so the pairing of uniforms into
-    ``(u1, u2)`` candidates is invariant under blocking: the sequence of
-    *accepted* z values over the stream is well-defined regardless of
-    where blocks start. This queue draws an even block, evaluates every
-    candidate pair at once, and banks the accepted z's; :func:`pop`
-    returns them in exactly the order the scalar loop would.
-
-    Rejected tail pairs at the end of a block are pre-consumed uniforms
-    the scalar engine would also have consumed (and rejected) — stream
-    alignment is preserved. The acceptance decision is libm-guarded as
-    described in the module docstring.
-
-    The queue *owns* the stream while it is active: bankable means
-    nothing else consumes the replica's rng mid-run (see
-    :func:`bankable_profile`), so the state is transplanted into numpy
-    once, kept there across refills, and written back to the Python rng
-    only on :meth:`release` (end of run). Per-refill cost is then pure
-    vector math — the 625-word state copy is paid once per replica, not
-    once per block.
-
-    A fleet cell has thousands of replica streams most of which serve
-    only dozens of requests, and for those the transplant plus numpy
-    call overhead costs more than it saves (measured ~4x slower than the
-    scalar loop at ~100 draws). So the queue starts *cold*: the first
-    ``warmup`` pops run the identical scalar rejection loop straight off
-    the Python rng — same draws, same values, zero numpy. Only a stream
-    that outlives the warmup transplants and switches to banked blocks,
-    which then *adapt*: starting at ``block`` and doubling each refill
-    up to ``max_block``. (Blocking is alignment-safe at any even size,
-    and the switch point only moves work between two bit-identical
-    implementations, so neither knob can affect the values produced.)
-    """
-
-    __slots__ = ("rng", "block", "max_block", "_cold_left", "_state",
-                 "_z", "_idx")
-
-    def __init__(self, rng: _random.Random, block: int = 1024,
-                 max_block: int = 8192, warmup: int = 512):
-        if block < 2 or block % 2:
-            raise ConfigError(f"z-queue block must be even, >= 2: {block}")
-        if max_block < block:
-            raise ConfigError(
-                f"max_block must be >= block: {max_block} < {block}")
-        if warmup < 0:
-            raise ConfigError(f"warmup must be >= 0: {warmup}")
-        self.rng = rng
-        self.block = block
-        self.max_block = max_block
-        self._cold_left = warmup
-        self._state = None
-        self._z: list[float] = []
-        self._idx = 0
-
-    def pop(self) -> float:
-        idx = self._idx
-        z = self._z
-        if idx < len(z):
-            self._idx = idx + 1
-            return z[idx]
-        cold = self._cold_left
-        if cold:
-            # Warmup: the scalar Kinderman-Monahan loop, verbatim from
-            # BackendProfile.sample_service_time.
-            self._cold_left = cold - 1
-            rand = self.rng.random
-            while True:
-                u1 = rand()
-                u2 = 1.0 - rand()
-                zs = NV_MAGICCONST * (u1 - 0.5) / u2
-                if zs * zs / 4.0 <= -math.log(u2):
-                    return zs
-        self._refill()
-        self._idx = 1
-        return self._z[0]
-
-    def _refill(self) -> None:
-        np = _np
-        state = self._state
-        if state is None:
-            state = self._state = transplant_state(self.rng)
-        accepted: list[float] = []
-        while not accepted:
-            block = self.block
-            if block < self.max_block:
-                self.block = block * 2
-            u = state.random_sample(block)
-            u1 = u[0::2]
-            u2 = 1.0 - u[1::2]
-            z = NV_MAGICCONST * (u1 - 0.5) / u2
-            lhs = z * z / 4.0
-            rhs = -np.log(u2)
-            ok = lhs <= rhs
-            near = np.abs(rhs - lhs) < _LOG_BOUNDARY
-            if near.any():
-                # Boundary candidates: replay the scalar decision.
-                for i in np.nonzero(near)[0]:
-                    z_i = float(z[i])
-                    ok[i] = z_i * z_i / 4.0 <= -math.log(float(u2[i]))
-            accepted = z[ok].tolist()
-        self._z = accepted
-        self._idx = 0
-
-    def release(self) -> None:
-        """Write the numpy-held stream state back to the Python rng.
-
-        Called at end of run; afterwards the replica's ``random.Random``
-        reflects every uniform the queue consumed (accepted and
-        rejected), exactly as if the blocks had been drawn through it.
-        """
-        state = self._state
-        if state is not None:
-            sync_back(self.rng, state)
-            self._state = None
-
-
-def bankable_profile(profile) -> bool:
-    """Whether a replica on ``profile`` may draw from a :class:`ZQueue`.
-
-    Bankable means the replica's private stream is consumed *only* by
-    the service-time rejection loop: a constant-zero failure probability
-    (``sample_failure`` returns False without drawing). Anything else
-    (failure draws interleaving with service draws) stays on the scalar
-    path for that replica.
-    """
-    series = profile.failure_prob
-    return series._constant and series._values[0] <= 0.0
-
-
-def zqueue_service_time(profile, zq: ZQueue, now: float) -> float:
-    """``BackendProfile.sample_service_time`` with the z from a bank.
-
-    Mirrors the scalar method exactly, including the clamp and the
-    degenerate ``p99 <= median`` case that returns without drawing —
-    popping a banked z there would desynchronise the stream.
-    """
-    series = profile.median_latency_s
-    median = series._values[0] if series._constant else series.value_at(now)
-    if median < 1e-6:
-        median = 1e-6
-    series = profile.p99_latency_s
-    p99 = series._values[0] if series._constant else series.value_at(now)
-    if p99 <= median:
-        return median
-    mu = math.log(median)
-    sigma = (math.log(p99) - mu) / Z_P99
-    return math.exp(mu + zq.pop() * sigma)
-
-
-# --------------------------------------------------------------------- #
-# Chunked telemetry
-# --------------------------------------------------------------------- #
-
-class BufferedTelemetry:
-    """Write-behind facade over one :class:`BackendTelemetry`.
-
-    The vector engine hands this to its request machines in place of the
-    raw telemetry bundle: responses accumulate in plain lists and are
-    folded into the underlying counters/histograms in one numpy pass at
-    chunk boundaries (every scrape tick, plus once at end of run). The
-    scraper is the only reader of these metrics, so flushing just before
-    each scrape makes the folded values indistinguishable from per-event
-    updates:
-
-    * counters: n additions of 1.0 == one addition of float(n) exactly
-      (integer-valued floats);
-    * histogram buckets: counts are order-independent; computed with
-      ``searchsorted(side="left")``, the vector twin of
-      ``bisect_left``;
-    * histogram sums: re-added *sequentially in arrival order* from
-      Python floats, reproducing the scalar accumulation chain bit for
-      bit (a numpy ``.sum()`` would pairwise-reduce and drift ulps);
-    * the in-flight gauge stays live (one float add, and mid-interval
-      readers like server-queue gauges must see it move).
-
-    ``observe()``'s NaN/negative validation is applied to the whole
-    chunk at flush time — deferred, but the same :class:`TelemetryError`.
-    """
-
-    __slots__ = ("base", "_latencies", "_successes")
-
-    def __init__(self, base):
-        self.base = base
-        self._latencies: list[float] = []
-        self._successes: list[bool] = []
-
-    # Mirror of BackendTelemetry's recording interface ------------------ #
-
-    def on_request_sent(self) -> None:
-        self.base.inflight._value += 1.0
-
-    def on_response(self, latency_s: float, success: bool) -> None:
-        self.base.inflight._value -= 1.0
-        self._latencies.append(latency_s)
-        self._successes.append(success)
-
-    def flush(self) -> None:
-        """Fold every buffered response into the underlying telemetry."""
-        latencies = self._latencies
-        if not latencies:
-            return
-        successes = self._successes
-        self._latencies = []
-        self._successes = []
-        np = _np
-        base = self.base
-        arr = np.asarray(latencies)
-        if np.isnan(arr).any() or bool((arr < 0.0).any()):
-            raise TelemetryError(
-                f"invalid latency in chunk for {base.backend_name}: "
-                "negative or NaN")
-        mask = np.asarray(successes, dtype=bool)
-        total = len(latencies)
-        failed = total - int(mask.sum())
-        base.requests_total._value += float(total)
-        if failed:
-            base.failures_total._value += float(failed)
-            _fold_histogram(base.failure_latency, arr[~mask], np)
-        if failed != total:
-            _fold_histogram(base.success_latency, arr[mask], np)
-
-
-def _fold_histogram(hist, values, np) -> None:
-    """Add a chunk of observations to a LatencyHistogram, exactly."""
-    if not len(values):
-        return
-    indices = np.searchsorted(hist.bounds, values, side="left")
-    counts = np.bincount(indices, minlength=len(hist._buckets))
-    buckets = hist._buckets
-    for i, count in enumerate(counts.tolist()):
-        if count:
-            buckets[i] += count
-    hist._count += int(len(values))
-    running = hist._sum
-    for value in values.tolist():
-        running += value
-    hist._sum = running
-    hist._cumulative = None
+            "the shard engine needs numpy, which is the optional [fleet] "
+            "extra of this package — install it with `pip install "
+            "'repro[fleet]'` (or `pip install numpy`), or run with "
+            "engine=\"fast\" instead") from None
+    return numpy

@@ -78,11 +78,16 @@ class PromMetricsSource:
         delta_count = last.success_latency_count - first.success_latency_count
         delta_successes = (last.success_latency_buckets[-1]
                            - first.success_latency_buckets[-1])
-        # Hostile input (the live exposition parser accepts NaN and Inf):
-        # one non-finite term makes the sum non-finite, and the backend
-        # then reads as "no data" instead of poisoning the EWMAs.
-        if not math.isfinite(delta_requests + delta_failures + delta_sum
-                             + delta_count + delta_successes + last.inflight):
+        # Hostile input (live rows are parsed from an HTTP page). A
+        # partial reset — another monotone counter going backwards alone
+        # — would read as success rate > 1, clamped to "never fails";
+        # the parser also accepts NaN and Inf, and one non-finite term
+        # makes the sum non-finite. Either way the backend reads as "no
+        # data" instead of poisoning the EWMAs.
+        if (min(delta_failures, delta_sum, delta_count, delta_successes) < 0
+                or not math.isfinite(
+                    delta_requests + delta_failures + delta_sum
+                    + delta_count + delta_successes + last.inflight)):
             return None
 
         success_rate = 1.0 - delta_failures / delta_requests

@@ -30,11 +30,6 @@ class Scraper:
         # the controller's decay-toward-default path.
         self.paused = False
         self.skipped_scrapes = 0
-        # Optional chunk-boundary hook: called at the top of every actual
-        # scrape, before any target is read. The vector engine registers
-        # its telemetry flush here so buffered per-request chunks are
-        # folded in exactly when the control plane looks.
-        self.pre_scrape = None
 
     def register(self, telemetry: BackendTelemetry) -> None:
         """Add a proxy's per-backend telemetry bundle as a scrape target."""
@@ -59,9 +54,6 @@ class Scraper:
 
     def scrape_once(self, now: float) -> None:
         """Snapshot every registered target at time ``now``."""
-        hook = self.pre_scrape
-        if hook is not None:
-            hook()
         for telemetry, series in self._targets.values():
             series.append(now, telemetry.sample())
         for series, read in self._gauges:

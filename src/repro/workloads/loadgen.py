@@ -93,7 +93,7 @@ class OpenLoopLoadGenerator:
         Args:
             dispatcher: a callback-mode request engine — anything with
                 ``dispatch(intended_start_s)`` (non-generator) and a
-                ``fast`` :class:`~repro.sim.fastpath.FastPath`, i.e. a
+                ``pool`` :class:`~repro.sim.events.EventPool`, i.e. a
                 :class:`~repro.mesh.fastdispatch.FastRequestEngine`.
         """
         if duration_s <= 0:
@@ -121,8 +121,8 @@ class _FastArrivals:
     CHUNK = 1024
 
     __slots__ = ("loadgen", "sim", "dispatcher", "duration_s", "deadline",
-                 "_sched", "_gap_of", "_gaps", "_index", "_trajectory_t",
-                 "_exhausted", "_boot_cb", "_tick_cb")
+                 "_sched", "_gaps", "_index", "_trajectory_t", "_exhausted",
+                 "_boot_cb", "_tick_cb")
 
     def __init__(self, loadgen, sim, dispatcher, duration_s: float):
         self.loadgen = loadgen
@@ -130,13 +130,7 @@ class _FastArrivals:
         self.dispatcher = dispatcher
         self.duration_s = duration_s
         self.deadline = 0.0
-        self._sched = dispatcher.fast.pool.schedule
-        # A vector engine may supply a batched gap sampler (numpy block
-        # draws, bit-identical to the scalar stream); everything else
-        # uses the loadgen's scalar _gap.
-        maker = getattr(dispatcher, "make_gap_sampler", None)
-        gap_of = maker(loadgen) if maker is not None else None
-        self._gap_of = loadgen._gap if gap_of is None else gap_of
+        self._sched = dispatcher.pool.schedule
         self._gaps: list = []
         self._index = 0
         self._trajectory_t = 0.0
@@ -153,7 +147,7 @@ class _FastArrivals:
         self._schedule_next()
 
     def _refill(self) -> None:
-        gap_of = self._gap_of
+        gap_of = self.loadgen._gap
         t = self._trajectory_t
         deadline = self.deadline
         gaps = self._gaps

@@ -84,12 +84,6 @@ class TestEngineGuards:
         with pytest.raises(ConfigError, match="fixed replica sets"):
             run_sharded_benchmark(scenario, "l3", duration_s=60.0)
 
-    def test_seed_autoscaler_import_path_still_works(self):
-        from repro.autoscale import hpa
-        from repro.mesh import autoscaler
-        assert autoscaler.Autoscaler is hpa.Autoscaler
-        assert autoscaler.AutoscalerConfig is hpa.AutoscalerConfig
-
 
 class TestInteractionMetrics:
     def test_replica_flaps_count_direction_reversals(self):

@@ -1,5 +1,7 @@
 """Tests for the benchmark coordinator (short runs)."""
 
+import sys
+
 import pytest
 
 from repro.bench.coordinator import (
@@ -71,6 +73,17 @@ class TestScenarioBenchmark:
         with pytest.raises(ConfigError):
             run_scenario_benchmark(
                 "scenario-42", "l3", duration_s=10.0, env=ENV)
+
+    def test_vector_alias_runs_the_fast_engine_without_numpy(
+            self, rr_result, monkeypatch):
+        # The one test of the alias the ledger's fleet-vector cell pins;
+        # it goes when the alias does.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        aliased = run_scenario_benchmark(
+            "scenario-1", "round-robin", duration_s=DURATION_S, seed=11,
+            env=ENV, engine="vector")
+        assert aliased.records == rr_result.records
+        assert aliased.events_processed == rr_result.events_processed
 
     def test_env_validation(self):
         with pytest.raises(ConfigError):

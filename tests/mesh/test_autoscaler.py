@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.autoscale.hpa import Autoscaler, AutoscalerConfig
 from repro.errors import ConfigError
-from repro.mesh.autoscaler import Autoscaler, AutoscalerConfig
 from repro.mesh.service import Backend
 from repro.workloads.profiles import constant_backend_profile
 

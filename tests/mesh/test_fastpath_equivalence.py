@@ -116,89 +116,3 @@ class TestDeadlineRetryHeavy:
         _assert_equivalent(*_run_both(
             "failure-2", "l3", seed=9, duration_s=15.0,
             env=_deadline_retry_env()))
-
-
-# --------------------------------------------------------------------- #
-# The vector engine (numpy-chunked RNG banks + buffered telemetry) makes
-# the same promise against the fast engine: bit-identical records,
-# weights and fault logs, plus the same kernel event count (its inlined
-# tail hops are counted back in). It needs the [fleet] extra.
-# --------------------------------------------------------------------- #
-
-_HAS_NUMPY = True
-try:
-    import numpy  # noqa: F401
-except ImportError:  # pragma: no cover - the no-numpy CI job
-    _HAS_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(
-    not _HAS_NUMPY, reason="numpy not installed ([fleet] extra)")
-
-
-def _run_vector_pair(scenario, algorithm, seed, duration_s, env=None,
-                     faults=None):
-    vector = run_scenario_benchmark(
-        scenario, algorithm, duration_s=duration_s, seed=seed,
-        env=env, faults=faults, engine="vector")
-    fast = run_scenario_benchmark(
-        scenario, algorithm, duration_s=duration_s, seed=seed,
-        env=env, faults=faults, engine="fast")
-    return vector, fast
-
-
-def _assert_vector_equivalent(vector, fast):
-    _assert_equivalent(vector, fast)
-    # The vector engine replaces popped agenda events with inline hops;
-    # the adjusted count must land exactly on the kernel's.
-    assert vector.events_processed == fast.events_processed
-
-
-@requires_numpy
-class TestVectorEngineScenarios:
-    """Every traffic shape, vector vs fast, one cell each."""
-
-    @pytest.mark.parametrize("scenario", [
-        "scenario-1", "scenario-2", "scenario-3", "scenario-4",
-        "scenario-5",
-    ])
-    def test_vector_matches_fast(self, scenario):
-        _assert_vector_equivalent(
-            *_run_vector_pair(scenario, "l3", seed=2, duration_s=10.0))
-
-
-@requires_numpy
-class TestVectorEngineSweeps:
-    @pytest.mark.parametrize("seed", [1, 3, 5])
-    def test_seed_sweep(self, seed):
-        _assert_vector_equivalent(*_run_vector_pair(
-            "scenario-1", "l3", seed, duration_s=10.0))
-
-    @pytest.mark.parametrize("algorithm", [
-        "round-robin", "p2c", "c3", "l3-peak",
-    ])
-    def test_algorithm_sweep(self, algorithm):
-        _assert_vector_equivalent(*_run_vector_pair(
-            "scenario-4", algorithm, seed=2, duration_s=10.0))
-
-    def test_failure_scenario_with_retries(self):
-        # failure-1 has live failure probabilities: replicas leave the
-        # banked z-queue path and failure draws interleave — the stream
-        # alignment must survive anyway.
-        _assert_vector_equivalent(*_run_vector_pair(
-            "failure-1", "l3", seed=7, duration_s=15.0,
-            env=_deadline_retry_env()))
-
-
-@requires_numpy
-class TestVectorEngineFaults:
-    def test_fault_schedule(self):
-        faults = [
-            ReplicaCrash(service="api", cluster="cluster-1", at_s=5.0,
-                         replica_index=0, duration_s=10.0,
-                         mode="blackhole"),
-            ClusterOutage(cluster="cluster-2", at_s=12.0, duration_s=6.0,
-                          mode="fail_fast", service="api"),
-        ]
-        _assert_vector_equivalent(*_run_vector_pair(
-            "scenario-2", "l3", seed=3, duration_s=25.0,
-            env=_deadline_retry_env(), faults=faults))

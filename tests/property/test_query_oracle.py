@@ -1,18 +1,19 @@
 """Differential oracle for the windowed read path.
 
 Drives ``Scraper.scrape_once`` over random counter/histogram trajectories
-(with paused ticks, irregular intervals and a retention horizon shorter
-than the widest window) and compares every field ``PromMetricsSource``
-returns against a straight-line reference computed here from the raw
-values the bundle showed at each scrape — exact float equality, because
-the row store must not change a single operation of the arithmetic.
+(with paused ticks, irregular intervals, a failures counter that restarts
+alone and a retention horizon shorter than the widest window) and
+compares every field ``PromMetricsSource`` returns against a
+straight-line reference computed here from the raw values the bundle
+showed at each scrape — exact float equality, because the row store must
+not change a single operation of the arithmetic.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.telemetry.histogram import DEFAULT_BUCKET_BOUNDS_S as BOUNDS
-from repro.telemetry.metrics import BackendTelemetry
+from repro.telemetry.metrics import BackendTelemetry, Counter
 from repro.telemetry.query import PromMetricsSource
 from repro.telemetry.scraper import Scraper
 from repro.telemetry.timeseries import TimeSeriesStore
@@ -26,7 +27,8 @@ ticks = st.lists(
     st.tuples(st.sampled_from([0.5, 5.0, 5.0, 5.0, 7.25]),  # interval
               st.sampled_from([False, False, False, True]),  # paused tick
               responses,
-              st.integers(min_value=0, max_value=3)),        # left in flight
+              st.integers(min_value=0, max_value=3),  # left in flight
+              st.sampled_from([False, False, False, True])),  # reset
     min_size=2, max_size=30)
 queries = st.tuples(st.sampled_from([6.0, 10.0, 30.0]),
                     st.sampled_from([0.5, 0.99, 0.999]))
@@ -67,12 +69,13 @@ def reference_sample(scrapes, now, window_s, q):
     requests = last["requests"] - first["requests"]
     if requests <= 0:
         return None
+    failures = last["failures"] - first["failures"]
+    if failures < 0:  # the failures counter restarted inside the window
+        return None
     count = last["count"] - first["count"]
     return {
         "rps": requests / (last["t"] - first["t"]),
-        "success_rate": min(max(
-            1.0 - (last["failures"] - first["failures"]) / requests,
-            0.0), 1.0),
+        "success_rate": min(max(1.0 - failures / requests, 0.0), 1.0),
         "latency_s": reference_quantile(first["ok"], last["ok"], q),
         "mean_latency_s": ((last["sum"] - first["sum"]) / count
                            if count > 0 else None),
@@ -91,8 +94,10 @@ def test_collect_matches_the_straight_line_reference(trajectory, query):
     source = PromMetricsSource(store)
     scrapes = []
     now = 0.0
-    for interval, paused, completed, left_in_flight in trajectory:
+    for interval, paused, completed, left_in_flight, reset in trajectory:
         now += interval
+        if reset:
+            telemetry.failures_total = Counter()
         for latency, success in completed:
             telemetry.on_request_sent()
             telemetry.on_response(latency, success)

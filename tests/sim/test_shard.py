@@ -6,12 +6,16 @@ The shard engine's only determinism contract is with itself: a fixed
 consumes it, never to scheduling order. CI runs the jobs=1 vs jobs=2
 comparison on every push (the ``fleet-smoke`` job); these tests run it
 in-process, plus the up-front ConfigError guards that keep the engine
-from silently diverging on inputs outside its scope.
+from silently diverging on inputs outside its scope, and the lazy numpy
+gate (the ``[fleet]`` extra) the engine sits behind.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -19,10 +23,12 @@ from repro.bench.digest import digest_result
 from repro.errors import ConfigError
 from repro.faults.faults import ClusterOutage
 from repro.sim.shard import SHARD_ALGORITHMS, run_sharded_benchmark
+from repro.sim.vectorpath import HAVE_NUMPY, require_numpy
 from repro.workloads.fleet import FleetSpec, build_fleet_scenario
 from repro.workloads.scenarios import build_scenario
 
-pytest.importorskip("numpy")
+requires_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="numpy not installed ([fleet] extra)")
 
 # A small fleet cell: big enough that clusters land on distinct shards
 # with interleaved barrier merges, small enough for test-suite runtime.
@@ -43,6 +49,7 @@ def jobs1_result(fleet_scenario):
         fleet_scenario, "l3", duration_s=_DURATION, seed=_SEED, jobs=1)
 
 
+@requires_numpy
 class TestShardInvariance:
     @pytest.mark.parametrize("jobs", [2, 5])
     def test_jobs_do_not_change_the_bytes(self, fleet_scenario,
@@ -84,6 +91,7 @@ class TestShardInvariance:
         assert digest_result(other) != digest_result(jobs1_result)
 
 
+@requires_numpy
 class TestScopeGuards:
     """Anything the bulk model cannot reproduce is rejected up front."""
 
@@ -127,3 +135,32 @@ class TestScopeGuards:
         with pytest.raises(ConfigError, match="multiple"):
             run_sharded_benchmark(fleet_scenario, "l3", duration_s=5.0,
                                   l3_config=config)
+
+
+class TestNumpyGate:
+    """numpy loads when a sharded run asks for it, and never before."""
+
+    @pytest.fixture
+    def no_numpy(self, monkeypatch):
+        # A None entry makes ``import numpy`` raise ImportError.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+
+    def test_require_numpy_names_the_extra(self, no_numpy):
+        with pytest.raises(ConfigError, match=r"\[fleet\]"):
+            require_numpy()
+
+    def test_shard_engine_refuses(self, no_numpy):
+        scenario = build_fleet_scenario(
+            FleetSpec(clusters=3, duration_s=30.0, total_rps=30.0,
+                      replica_budget_per_cluster=1), seed=1)
+        with pytest.raises(ConfigError, match=r"\[fleet\]"):
+            run_sharded_benchmark(scenario, "l3", duration_s=10.0)
+
+    def test_per_event_imports_leave_numpy_unloaded(self):
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+                "import repro.bench.coordinator, repro.sim.shard, "
+                "repro.live; sys.exit('numpy' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr

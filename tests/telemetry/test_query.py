@@ -248,13 +248,30 @@ class TestCounterResetsAndGaps:
         assert source.collect(["b"], 5.0, 10.0, 0.99)["b"] is None
 
     def test_failures_going_backwards_never_exceeds_one(self):
+        # 1 - (10 - 40) / 50 = 1.6: clamped, it reads as a perfect 1.0.
         before = row(requests=100, failures=40)
         after = row(requests=150, failures=10)._replace(
             success_latency_buckets=row(requests=200).success_latency_buckets)
         source = PromMetricsSource(row_store([(0.0, before), (5.0, after)]))
-        sample = source.collect(["b"], 5.0, 10.0, 0.99)["b"]
-        assert sample.rps == 10.0
-        assert sample.success_rate == 1.0
+        assert source.collect(["b"], 5.0, 10.0, 0.99)["b"] is None
+
+    @pytest.mark.parametrize("field", [
+        "success_latency_sum", "success_latency_count",
+        "success_latency_buckets"])
+    def test_success_histogram_going_backwards_yields_none(self, field):
+        # One monotone counter of the row restarts while requests_total
+        # keeps counting: the window delta of that counter is negative.
+        before = row(requests=100, failures=40)
+        after = row(requests=150, failures=60)
+
+        def collect(last):
+            source = PromMetricsSource(
+                row_store([(0.0, before), (5.0, last)]))
+            return source.collect(["b"], 5.0, 10.0, 0.99)["b"]
+
+        assert collect(after) is not None
+        restarted = getattr(row(requests=3, failures=1), field)
+        assert collect(after._replace(**{field: restarted})) is None
 
     def test_reset_recovers_once_the_window_moves_past_it(self):
         store = row_store([(0.0, row(requests=500)), (5.0, row(requests=3)),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.coordinator import ENGINE_NAMES
 from repro.cli import main
 
 
@@ -35,6 +36,12 @@ class TestRun:
     def test_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):
             main(["run", "--scenario", "scenario-42"])
+
+    def test_engine_choices_are_fast_and_process(self, capsys):
+        assert ENGINE_NAMES == ("fast", "process")
+        with pytest.raises(SystemExit):
+            main(["run", "--engine", "vector"])
+        assert "'fast', 'process'" in capsys.readouterr().err
 
 
 class TestRunWithFaults:
