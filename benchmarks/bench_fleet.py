@@ -84,8 +84,7 @@ def measure_cell(spec: FleetSpec, seed: int, duration_s: float,
 
     fast_result, fast_wall, fast_walls = _best_of(
         lambda: run_scenario_benchmark(
-            scenario, "l3", duration_s=duration_s, seed=seed,
-            engine="fast"),
+            scenario, "l3", duration_s=duration_s, seed=seed),
         repeat)
     events = fast_result.events_processed
 
@@ -174,8 +173,7 @@ def run_tournament(spec: FleetSpec, seed: int, duration_s: float) -> dict:
     for algorithm in contenders:
         started = time.perf_counter()
         result = run_scenario_benchmark(
-            scenario, algorithm, duration_s=duration_s, seed=seed,
-            engine="fast")
+            scenario, algorithm, duration_s=duration_s, seed=seed)
         wall = time.perf_counter() - started
         latencies = result.latency_percentiles()
         rows[algorithm] = {

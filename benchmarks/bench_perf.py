@@ -51,8 +51,7 @@ REFERENCE_SEED = 1
 DEFAULT_TOLERANCE = 0.30
 
 
-def measure_reference(duration_s: float, repeat: int = 3,
-                      engine: str = "fast") -> dict:
+def measure_reference(duration_s: float, repeat: int = 3) -> dict:
     """Serial reference runs; returns the kernel throughput numbers.
 
     The simulated work is identical every run (fixed seed), so wall-clock
@@ -67,14 +66,14 @@ def measure_reference(duration_s: float, repeat: int = 3,
         started = time.perf_counter()
         result = run_scenario_benchmark(
             REFERENCE_SCENARIO, REFERENCE_ALGORITHM, duration_s=duration_s,
-            seed=REFERENCE_SEED, engine=engine)
+            seed=REFERENCE_SEED)
         walls.append(time.perf_counter() - started)
     wall = min(walls)
     return {
         "scenario": REFERENCE_SCENARIO,
         "algorithm": REFERENCE_ALGORITHM,
         "seed": REFERENCE_SEED,
-        "engine": engine,
+        "engine": "fast",  # BENCH_perf.json's schema; there is one engine
         "duration_s": duration_s,
         "repeat": len(walls),
         "wall_clock_s": round(wall, 3),
@@ -201,10 +200,6 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=3, metavar="N",
                         help="reference-run repetitions; the best wall "
                              "is reported (default 3)")
-    parser.add_argument("--engine", default="fast",
-                        choices=("fast", "process"),
-                        help="request engine for the reference cell "
-                             "(default fast)")
     parser.add_argument("--profile", action="store_true",
                         help="additionally profile one reference run and "
                              "write the cProfile top-30 dump to "
@@ -239,7 +234,7 @@ def main(argv=None) -> int:
         "host": {"cpus": os.cpu_count(),
                  "python": sys.version.split()[0]},
         "reference": measure_reference(
-            args.duration, repeat=args.repeat, engine=args.engine),
+            args.duration, repeat=args.repeat),
     }
     if not args.skip_sweep:
         report["sweep"] = measure_sweep(

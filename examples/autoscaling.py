@@ -71,7 +71,7 @@ def main() -> None:
         [(0.0, 200.0), (60.0, 200.0), (61.0, 800.0), (240.0, 800.0)])
     records = []
     loadgen = OpenLoopLoadGenerator(proxy, rps, rng.stream("load"), records)
-    sim.spawn(loadgen.run(sim, 240.0), name="loadgen")
+    loadgen.start(sim, 240.0)
     sim.run(until=270.0)
     balancer.stop()
     sim.run(until=280.0)

@@ -80,7 +80,7 @@ def main() -> None:
 
     records = []
     loadgen = OpenLoopLoadGenerator(proxy, 150.0, rng.stream("load"), records)
-    sim.spawn(loadgen.run(sim, 300.0), name="loadgen")
+    loadgen.start(sim, 300.0)
 
     # Observe the weights around the degradation episode.
     checkpoints = {}

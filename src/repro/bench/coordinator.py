@@ -9,6 +9,7 @@ rates.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 from repro.analysis.percentiles import Percentiles
@@ -19,7 +20,6 @@ from repro.balancers.factory import make_balancer
 from repro.core.config import L3Config
 from repro.errors import ConfigError
 from repro.faults.base import FaultInjector
-from repro.mesh.fastdispatch import FastRequestEngine
 from repro.mesh.mesh import ServiceMesh
 from repro.mesh.network import WanLink
 from repro.sim.engine import Simulator
@@ -33,13 +33,6 @@ from repro.workloads.scenarios import Scenario, build_scenario
 
 # The logical service name TIER-like scenarios are deployed under.
 SCENARIO_SERVICE = "api"
-
-# Request-lifecycle engines for scenario benchmarks: "fast" drives each
-# request as a pooled-callback state machine
-# (:mod:`repro.mesh.fastdispatch`); "process" spawns one generator
-# process per request (the original reference implementation). The two
-# are event-order identical — same records, same digests.
-ENGINE_NAMES = ("fast", "process")
 
 
 @dataclass(frozen=True)
@@ -83,6 +76,13 @@ class ScenarioBenchConfig:
         if self.request_timeout_s is not None and self.request_timeout_s <= 0:
             raise ConfigError(
                 f"request timeout must be positive: {self.request_timeout_s}")
+
+
+_DEFAULT_ENV = ScenarioBenchConfig()
+# ScenarioBenchConfig fields that configure the scenario benchmarks' one
+# client proxy; call-graph applications build their own proxies.
+_PROXY_KNOBS = ("max_retries", "retry_backoff_s", "request_timeout_s",
+                "outlier_ejection")
 
 
 @dataclass
@@ -176,34 +176,51 @@ class BenchmarkResult:
         return self.latency_percentile_ms(0.99)
 
 
-def _build_scenario_mesh(scenario: Scenario, seed: int,
-                         env: ScenarioBenchConfig):
+def _build_world(clusters, seed: int, env: ScenarioBenchConfig, tracer):
+    """A fresh simulator, RNG registry, mesh and telemetry pipeline."""
+    # A finished run's world is one reference cycle (mesh <-> proxies <->
+    # sim <-> pre-bound callbacks), so dead worlds pile up until
+    # CPython's next gen-2 pass and peak RSS depends on how many runs
+    # fit before it — in run_cells workers and in the ledger's repeats.
+    gc.collect()
     sim = Simulator()
     rng = RngRegistry(seed)
     mesh = ServiceMesh(
-        sim, rng, clusters=scenario.clusters(),
-        wan_link=WanLink(base_delay_s=env.wan_base_delay_s))
-    # Fleet scenarios carry their own topology: per-cluster replica
-    # counts, capacities, and a WAN link matrix replace the uniform
-    # defaults above.
-    topology = scenario.topology
-    replicas: int | dict = env.replicas
-    replica_capacity: int | dict = env.replica_capacity
-    if topology is not None:
-        replicas = topology.replicas
-        replica_capacity = topology.capacities
-        for (src, dst), link in topology.links.items():
-            mesh.network.set_link(src, dst, link, symmetric=False)
-    mesh.deploy_service(
-        SCENARIO_SERVICE, profiles=scenario.cluster_profiles,
-        replicas=replicas, replica_capacity=replica_capacity)
-    return sim, rng, mesh
-
-
-def _wire_telemetry(env: ScenarioBenchConfig):
+        sim, rng, clusters=clusters,
+        wan_link=WanLink(base_delay_s=env.wan_base_delay_s), tracer=tracer)
     store = TimeSeriesStore()
     scraper = Scraper(store, interval_s=env.scrape_interval_s)
-    return store, scraper
+    return sim, rng, mesh, store, scraper
+
+
+def _run_measured(sim, rng, scraper, target, rps, control,
+                  env: ScenarioBenchConfig, duration_s: float,
+                  autoscale_set=None) -> list:
+    """Warm up, measure, drain; returns the measured period's records.
+
+    ``control`` is whatever owns the control loops (``start(sim)`` /
+    ``stop()``): a balancer, or a call-graph app with one per hop.
+    """
+    scrape_proc = sim.spawn(scraper.run(sim), name="scraper")
+    control.start(sim)
+    if autoscale_set is not None:
+        autoscale_set.start(sim)
+
+    records: list = []
+    loadgen = OpenLoopLoadGenerator(
+        target, rps, rng.stream("loadgen"), records, arrival=env.arrival)
+    total = env.warmup_s + duration_s
+    loadgen.start(sim, total)
+
+    sim.run(until=total)
+    control.stop()
+    if autoscale_set is not None:
+        autoscale_set.stop(total)
+    scrape_proc.interrupt()
+    # Let in-flight requests finish so tail samples are not truncated.
+    sim.run(until=total + env.drain_s)
+    return [r for r in records
+            if env.warmup_s <= r.intended_start_s < total]
 
 
 def run_scenario_benchmark(scenario: str | Scenario, algorithm: str,
@@ -236,11 +253,8 @@ def run_scenario_benchmark(scenario: str | Scenario, algorithm: str,
             spans into it, and a controller-based algorithm additionally
             records its decision audit log, joinable to the data-plane
             spans via the ``decision_id`` attribute.
-        engine: request-lifecycle engine, one of :data:`ENGINE_NAMES` —
-            ``"fast"`` (pooled-callback state machines, the default) or
-            ``"process"`` (one generator process per request). Both
-            produce byte-identical results; ``"process"`` remains as the
-            executable specification the fast path is checked against.
+        engine: ``"fast"`` or its alias ``"vector"``; there is one
+            request lifecycle, anything else is a :class:`ConfigError`.
         autoscale: per-cluster elasticity — an
             :class:`~repro.autoscale.policy.AutoscalePolicy` (applied to
             every cluster), ``{cluster: policy}``, or a CLI-style spec
@@ -250,21 +264,31 @@ def run_scenario_benchmark(scenario: str | Scenario, algorithm: str,
             builds.
     """
     env = env or ScenarioBenchConfig()
-    if engine == "vector":
-        # Alias kept only because benchmarks/ledger/workloads.py, which
-        # this change may not touch, passes it for its fleet-vector cell.
-        engine = "fast"
-    if engine not in ENGINE_NAMES:
-        raise ConfigError(
-            f"engine must be one of {ENGINE_NAMES}: {engine!r}")
+    # The parameter survives only because benchmarks/ledger/workloads.py,
+    # which this change may not touch, passes these two values.
+    if engine not in ("fast", "vector"):
+        raise ConfigError(f"engine must be 'fast': {engine!r}")
     if isinstance(scenario, str):
         # Always build the canonical 10-minute trace (it is a fixed,
         # deterministic recording); a shorter benchmark simply measures a
         # prefix of it, a longer one wraps around.
         scenario = build_scenario(scenario)
-    sim, rng, mesh = _build_scenario_mesh(scenario, seed, env)
-    mesh.tracer = tracer
-    store, scraper = _wire_telemetry(env)
+    sim, rng, mesh, store, scraper = _build_world(
+        scenario.clusters(), seed, env, tracer)
+    # Fleet scenarios carry their own topology: per-cluster replica
+    # counts, capacities, and a WAN link matrix replace the uniform
+    # defaults.
+    topology = scenario.topology
+    replicas: int | dict = env.replicas
+    replica_capacity: int | dict = env.replica_capacity
+    if topology is not None:
+        replicas = topology.replicas
+        replica_capacity = topology.capacities
+        for (src, dst), link in topology.links.items():
+            mesh.network.set_link(src, dst, link, symmetric=False)
+    mesh.deploy_service(
+        SCENARIO_SERVICE, profiles=scenario.cluster_profiles,
+        replicas=replicas, replica_capacity=replica_capacity)
     # The benchmark client (and its L3 instance) live in the client
     # cluster; metrics are queried from that cluster's vantage point.
     source = PromMetricsSource(store, scope=env.client_cluster)
@@ -310,34 +334,9 @@ def run_scenario_benchmark(scenario: str | Scenario, algorithm: str,
             deployment, policies, source, scraper,
             controller=getattr(balancer, "controller", None))
 
-    scrape_proc = sim.spawn(scraper.run(sim), name="scraper")
-    balancer.start(sim)
-    if autoscale_set is not None:
-        autoscale_set.start(sim)
-
-    records: list = []
-    loadgen = OpenLoopLoadGenerator(
-        proxy, scenario.rps, rng.stream("loadgen"), records,
-        arrival=env.arrival)
-    total = env.warmup_s + duration_s
-    if engine == "fast":
-        loadgen.start_fast(
-            sim, total, FastRequestEngine(sim, proxy, records))
-    else:
-        sim.spawn(loadgen.run(sim, total), name="loadgen")
-
-    sim.run(until=total)
-    balancer.stop()
-    if autoscale_set is not None:
-        autoscale_set.stop(total)
-    scrape_proc.interrupt()
-    # Let in-flight requests finish so tail samples are not truncated.
-    sim.run(until=total + env.drain_s)
-
-    measured = [
-        r for r in records
-        if env.warmup_s <= r.intended_start_s < total
-    ]
+    measured = _run_measured(
+        sim, rng, scraper, proxy, scenario.rps, balancer, env, duration_s,
+        autoscale_set=autoscale_set)
     weights = {}
     controller = getattr(balancer, "controller", None)
     if controller is not None:
@@ -378,14 +377,14 @@ def run_callgraph_benchmark(build_application, app_name: str,
             trace (hops are separate proxy dispatches).
     """
     env = env or ScenarioBenchConfig()
-    sim = Simulator()
-    rng = RngRegistry(seed)
-    clusters = ["cluster-1", "cluster-2", "cluster-3"]
-    mesh = ServiceMesh(
-        sim, rng, clusters=clusters,
-        wan_link=WanLink(base_delay_s=env.wan_base_delay_s),
-        tracer=tracer)
-    store, scraper = _wire_telemetry(env)
+    for knob in _PROXY_KNOBS:
+        if getattr(env, knob) != getattr(_DEFAULT_ENV, knob):
+            raise ConfigError(
+                f"{knob} is not wired into call-graph applications "
+                f"(their proxies run the paper's configuration): "
+                f"{getattr(env, knob)!r}")
+    sim, rng, mesh, store, scraper = _build_world(
+        ["cluster-1", "cluster-2", "cluster-3"], seed, env, tracer)
 
     def balancer_factory(service, backend_names, source_cluster):
         # One controller per (source cluster, destination service): each
@@ -404,24 +403,8 @@ def run_callgraph_benchmark(build_application, app_name: str,
     app.prewire()
     mesh.register_all_telemetry(scraper)
 
-    scrape_proc = sim.spawn(scraper.run(sim), name="scraper")
-    app.start(sim)
-
-    records: list = []
-    loadgen = OpenLoopLoadGenerator(
-        app, rps, rng.stream("loadgen"), records)
-    total = env.warmup_s + duration_s
-    sim.spawn(loadgen.run(sim, total), name="loadgen")
-
-    sim.run(until=total)
-    app.stop()
-    scrape_proc.interrupt()
-    sim.run(until=total + env.drain_s)
-
-    measured = [
-        r for r in records
-        if env.warmup_s <= r.intended_start_s < total
-    ]
+    measured = _run_measured(
+        sim, rng, scraper, app, rps, app, env, duration_s)
     return BenchmarkResult(
         scenario=app_name, algorithm=algorithm, seed=seed,
         duration_s=duration_s, records=measured, tracer=tracer,

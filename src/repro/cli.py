@@ -16,7 +16,6 @@ import sys
 
 from repro.balancers.factory import BALANCER_NAMES
 from repro.bench.coordinator import (
-    ENGINE_NAMES,
     run_hotel_benchmark,
     run_scenario_benchmark,
 )
@@ -81,12 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--outlier-ejection", action="store_true",
                      help="enable the consecutive-failure circuit "
                           "breaker (off by default, as in the paper)")
-    run.add_argument("--engine", choices=ENGINE_NAMES,
-                     default="fast",
-                     help="request-lifecycle engine: 'fast' (pooled "
-                          "callbacks, default) or 'process' (one "
-                          "generator per request); both produce "
-                          "byte-identical results")
 
     live = commands.add_parser(
         "live", help="run the live localhost testbed (real sockets, "
@@ -393,7 +386,7 @@ def main(argv=None) -> int:
         result = run_scenario_benchmark(
             scenario, args.algorithm, duration_s=args.duration,
             seed=args.seed, env=env, faults=faults, tracer=tracer,
-            engine=args.engine, autoscale=autoscale)
+            autoscale=autoscale)
         _print_result(result)
         if tracer is not None:
             _export_traces(tracer, args.trace, args.trace_format)

@@ -59,7 +59,7 @@ class LiveLoadGenerator:
             return self.rng.expovariate(rate)
         return 1.0 / rate
 
-    async def _one_request(self, intended_start: float) -> None:
+    async def _send_one(self, intended_start: float) -> None:
         record = await self.proxy.dispatch(intended_start)
         self.records.append(record)
 
@@ -84,7 +84,7 @@ class LiveLoadGenerator:
             delay = t - self.clock()
             if delay > 0:
                 await asyncio.sleep(delay)
-            task = asyncio.ensure_future(self._one_request(t))
+            task = asyncio.ensure_future(self._send_one(t))
             self.inflight.add(task)
             task.add_done_callback(self.inflight.discard)
             self.generated += 1

@@ -1,205 +1,88 @@
-"""The callback state-machine request engine (the data-plane fast path).
+"""The simulated request lifecycle: pooled-callback state machines.
 
-One simulated request in the generator engine is a spawned
-:class:`~repro.sim.process.Process` whose every hop (proxy forwarding
-overhead, WAN legs, replica queue/execution, retry back-off, deadline
-racing) allocates a fresh ``Timeout``/``Event`` plus generator-resume
-machinery — roughly a dozen heap events per request. This module rewrites
-that lifecycle as a flat state machine over pooled callback events
-(:class:`~repro.sim.events.EventPool`): the same lifecycle, the same
-side effects, a fraction of the allocations.
+One simulated request is a :class:`_RequestMachine` started by
+:meth:`repro.mesh.proxy.ClientProxy.dispatch`: balancer pick → proxy
+forwarding overhead → (per attempt) a :class:`_Flight` across the WAN to
+a replica and back → telemetry, retry/back-off, outlier ejection → one
+:class:`~repro.mesh.request.RequestRecord` handed to the caller's
+``done`` callback. Every hop is one pooled callback event
+(:class:`~repro.sim.events.EventPool`); machines and unraced flights are
+recycled through free lists held by their proxy. Plain scenario traffic
+and call-graph applications (hotel, social) run on the same machines —
+a call-graph hop is a dispatch whose flight runs a *body* on the replica.
 
-**Equivalence contract.** The fast path must be *event-order identical*
-to :meth:`repro.mesh.proxy.ClientProxy.dispatch`, the reference
-implementation — not merely "statistically the same": the golden-digest
-determinism suite demands byte-identical request records, controller
-weights and OTLP trace exports for a fixed seed. The simulator breaks
-time ties by heap insertion order, so the machine performs **the same
-agenda insertions at the same code positions** as the generator engine:
+**Event order is the contract.** The simulator breaks time ties by
+agenda insertion order, and the golden digest and the pinned digests in
+``tests/bench/test_determinism.py`` demand byte-identical records,
+weights and OTLP exports per seed. So the agenda insertions below are
+fixed, including the delay-0 hops that look redundant:
 
-========================================  ==============================
-generator engine                          fast path mirror
-========================================  ==============================
-``sim.spawn`` bootstrap event             ``dispatch()`` schedules the
-                                          machine start at delay 0
-``yield sim.timeout(...)`` per hop        one pooled callback per hop
-``Server.acquire`` immediate-grant        delay-0 pooled callback
-event (``succeed`` at creation)           (``try_acquire`` grants the
-                                          slot synchronously)
-``Server.acquire`` queued waiter          unscheduled pooled gate in the
-                                          same FIFO (fired by
-                                          ``release``)
-deadline race: spawned ``_forward``       flight begin scheduled at
-process bootstrap + deadline timeout,     delay 0 + deadline callback;
-then completion → ``AnyOf`` →             completion hop → any-of hop →
-parent resume (two delay-0 pops)          machine resume (same two pops)
-blackhole gate ``yield sim.event()``      unscheduled pooled gate in
-(fired by ``Replica.restart``)            ``_blackhole_gates``
-process-completion event (no waiters,     omitted — popping a
-no callbacks)                             side-effect-free event cannot
-                                          reorder anything else
-========================================  ==============================
+* ``dispatch()`` schedules the machine start at delay 0 (a request
+  begins one agenda hop after it is submitted);
+* a free replica slot is granted synchronously (``try_acquire``) but
+  execution starts one delay-0 hop later; a queued request parks an
+  unscheduled pooled gate in the server's FIFO, fired by ``release``;
+* with a per-attempt deadline the flight begins one delay-0 hop after
+  the deadline race is armed, and its completion reaches the machine
+  through two delay-0 hops (completion → race decided → resume); the
+  deadline takes the second of those too, the first to arrive wins and
+  the loser's hop is a no-op. A flight abandoned by its deadline keeps
+  running against the replica and reports to nobody;
+* a request that reaches a blackholed replica parks on an unscheduled
+  gate in ``Replica._blackhole_gates`` until ``Replica.restart``; a
+  partitioned WAN leg parks forever.
 
 RNG draws (balancer pick, WAN jitter, failure/service sampling) happen
-inside the same callbacks at the same simulation times, so every private
-random stream is consumed in exactly the reference order. The
-equivalence suite (``tests/mesh/test_fastpath_equivalence.py``) checks
-record-for-record equality against the legacy engine across seeds and
-scenarios, including fault-injection and deadline/retry-heavy runs.
+inside these callbacks at these simulation times, so every private
+random stream is consumed in a fixed order.
 
-Scope: plain proxy dispatch — the path every scenario benchmark and the
-perf baseline exercise. Call-graph applications (hotel, social) run
-request *bodies* on the replica and stay on the generator engine, which
-remains fully supported via ``engine="process"``.
+**Bodies.** ``dispatch(..., body_factory=f)`` makes the flight call
+``f(target_cluster)`` when the replica's own service time has elapsed;
+a non-``None`` result ``body(resume)`` then runs *while the replica slot
+is held* (thread-per-request semantics) and must eventually call
+``resume(ok)``, whose verdict is ANDed into the attempt's success
+(``None`` counts as success). How call-graph bodies order their
+downstream dispatches is documented in :mod:`repro.workloads.callgraph`.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.errors import MeshError
-from repro.mesh.cluster import split_backend_name
 from repro.mesh.request import RequestRecord
-from repro.sim.events import EventPool
 from repro.tracing import model as trace_model
 
-
-class FastRequestEngine:
-    """Drives one proxy's requests as pooled-callback state machines.
-
-    Args:
-        sim: the owning simulator.
-        proxy: the :class:`~repro.mesh.proxy.ClientProxy` whose dispatch
-            lifecycle this engine reproduces.
-        records: list completed :class:`RequestRecord`\\ s are appended
-            to (in completion order, like the generator load generator).
-        max_free: bound on each free list (events, machines, flights).
-    """
-
-    def __init__(self, sim, proxy, records: list, max_free: int = 512):
-        self.sim = sim
-        self.proxy = proxy
-        self.records = records
-        self.pool = EventPool(sim, max_free=max_free)
-        # Pre-bound hot-path methods: one call frame per hop instead of
-        # an attribute walk.
-        self.sched = self.pool.schedule
-        self.net_delay = proxy.mesh.network.delay
-        self._max_free = max_free
-        self._machines: list[_RequestMachine] = []
-        self._flights: list[_Flight] = []
-        # backend name -> (Backend, target_cluster): the pick set is
-        # fixed for a deployed service, so the split/lookup chain of the
-        # reference implementation is resolved once per backend.
-        self._targets: dict[str, tuple] = {}
-
-    def dispatch(self, intended_start_s: float) -> None:
-        """Start one request's state machine (the ``sim.spawn`` mirror).
-
-        The machine begins executing at the current time but only after
-        one agenda hop — exactly where the generator engine's process
-        bootstrap event pops.
-        """
-        machines = self._machines
-        if machines:
-            machine = machines.pop()
-        else:
-            machine = _RequestMachine(self)
-        machine.intended_start_s = intended_start_s
-        self.sched(0.0, machine._start_cb)
-
-    # ------------------------------------------------------------------ #
-    # Pools
-    # ------------------------------------------------------------------ #
-
-    def _recycle_machine(self, machine: "_RequestMachine") -> None:
-        machine._reset()
-        if len(self._machines) < self._max_free:
-            self._machines.append(machine)
-
-    def _flight(self, machine: "_RequestMachine",
-                raced: bool) -> "_Flight":
-        """A flight for the machine's current attempt.
-
-        Raced flights (deadline configured) can outlive both the attempt
-        and the machine — their deadline and completion hops may fire
-        after the machine moved on — so they are never pooled; the
-        unraced common case reuses pooled flights.
-        """
-        flights = self._flights
-        if raced or not flights:
-            flight = _Flight(self)
-        else:
-            flight = flights.pop()
-        flight.machine = machine
-        flight.backend = machine.backend
-        flight.target_cluster = machine.target_cluster
-        flight.ctx = machine.attempt_ctx
-        flight.raced = raced
-        # No further resets needed: pooled flights come back from
-        # _recycle_flight with span/replica references cleared, raced
-        # flights are always fresh (anyof/call flags start False from
-        # __init__), and success/holding_slot are written by every path
-        # that later reads them.
-        return flight
-
-    def _recycle_flight(self, flight: "_Flight") -> None:
-        # Only unraced flights come back (see _flight); drop references
-        # so a pooled flight cannot keep a finished request alive.
-        flight.machine = None
-        flight.backend = None
-        flight.replica = None
-        flight.ctx = None
-        flight.wan_span = None
-        flight.queue_span = None
-        flight.exec_span = None
-        if len(self._flights) < self._max_free:
-            self._flights.append(flight)
-
-    def _resolve(self, backend_name: str) -> tuple:
-        """(Backend, target_cluster, telemetry) for a pick, cached.
-
-        The miss path performs the reference implementation's unknown-
-        backend check first, so a bad balancer pick raises the exact
-        error _attempt() would.
-        """
-        found = self._targets.get(backend_name)
-        if found is None:
-            proxy = self.proxy
-            telemetry = proxy.telemetry.get(backend_name)
-            if telemetry is None:
-                raise MeshError(
-                    f"balancer picked unknown backend {backend_name!r} "
-                    f"for service {proxy.service!r}")
-            _service, target_cluster = split_backend_name(backend_name)
-            backend = proxy.mesh.deployment(
-                proxy.service).backend_in(target_cluster)
-            found = (backend, target_cluster, telemetry)
-            self._targets[backend_name] = found
-        return found
+# Bound on each per-proxy free list (machines, unraced flights).
+_MAX_FREE = 512
 
 
 class _RequestMachine:
     """One request: dispatch → attempts (with retry/backoff) → record.
 
-    Mirrors :meth:`ClientProxy.dispatch` / :meth:`ClientProxy._attempt`
-    line for line; every divergence is an equivalence bug.
+    Each attempt is a fresh balancer decision and is individually
+    recorded in the data-plane telemetry — exactly what a per-try proxy
+    sees, and what makes retried failures visible to L3's success-rate
+    signal. With tracing on, the request is one root span and each
+    attempt one child span carrying the chosen backend, any ejection
+    skips, and the controller decision id behind the routing weights.
     """
 
     __slots__ = (
-        "engine", "sim", "proxy", "sched",
-        "intended_start_s", "request_id", "start_s", "attempts",
+        "sim", "proxy", "sched",
+        "intended_start_s", "done", "body_factory",
+        "request_id", "start_s", "attempts",
         "ctx", "root_span", "attempt_ctx", "attempt_span", "backoff_span",
         "attempt_start", "backend_name", "backend", "target_cluster",
         "telemetry",
         "_start_cb", "_after_overhead_cb", "_retry_cb", "_retry_traced_cb",
     )
 
-    def __init__(self, engine: FastRequestEngine):
-        self.engine = engine
-        self.sim = engine.sim
-        self.proxy = engine.proxy
-        self.sched = engine.sched
+    def __init__(self, proxy):
+        self.sim = proxy.mesh.sim
+        self.proxy = proxy
+        self.sched = proxy._sched
+        # Pre-bound hot-path methods: one call frame per hop instead of
+        # an attribute walk.
         self._start_cb = self._start
         self._after_overhead_cb = self._after_overhead
         self._retry_cb = self._begin_attempt
@@ -208,6 +91,8 @@ class _RequestMachine:
 
     def _reset(self) -> None:
         self.intended_start_s = 0.0
+        self.done = None
+        self.body_factory = None
         self.request_id = -1
         self.start_s = 0.0
         self.attempts = 0
@@ -225,7 +110,7 @@ class _RequestMachine:
     # -- dispatch ------------------------------------------------------ #
 
     def _start(self) -> None:
-        """Mirror of dispatch() up to the attempt loop."""
+        """Open the request (id, root span) and make the first attempt."""
         proxy = self.proxy
         self.start_s = self.sim.now
         self.request_id = next(proxy._request_ids)
@@ -249,7 +134,7 @@ class _RequestMachine:
         self._begin_attempt()
 
     def _begin_attempt(self) -> None:
-        """Mirror of the attempt loop head plus _attempt()'s prologue."""
+        """Pick a backend, count the send, pay the forwarding overhead."""
         proxy = self.proxy
         self.attempts += 1
         start = self.sim.now
@@ -261,8 +146,7 @@ class _RequestMachine:
             ejection_skips = 0
         else:
             backend_name, ejection_skips = proxy._pick_backend(start)
-        backend, target_cluster, telemetry = self.engine._resolve(
-            backend_name)
+        backend, target_cluster, telemetry = proxy._resolve(backend_name)
 
         span = None
         attempt_ctx = None
@@ -294,12 +178,17 @@ class _RequestMachine:
             self._after_overhead()
 
     def _after_overhead(self) -> None:
-        """Launch the forward leg, racing the deadline if configured."""
+        """Launch the forward leg, racing the deadline if configured.
+
+        On timeout the in-flight call is abandoned, not cancelled:
+        whatever the server was doing keeps happening (and keeps
+        occupying the replica), but this client stops waiting — the
+        attempt is a failure. Its spans stay open (the export skips
+        them); the attempt span's "timeout" status is the record.
+        """
         proxy = self.proxy
-        engine = self.engine
         if proxy.request_timeout_s is None:
-            flight = engine._flight(self, raced=False)
-            flight._begin()
+            self._flight(raced=False)._begin()
             return
         remaining = proxy.request_timeout_s - (
             self.sim.now - self.attempt_start)
@@ -307,16 +196,41 @@ class _RequestMachine:
             proxy.timeouts += 1
             self._attempt_end(False, True)
             return
-        flight = engine._flight(self, raced=True)
-        # Mirror: sub-process bootstrap event, then the deadline timeout.
+        flight = self._flight(raced=True)
         sched = self.sched
         sched(0.0, flight._begin_cb)
         sched(remaining, flight._deadline_cb)
 
+    def _flight(self, raced: bool) -> "_Flight":
+        """A flight for the current attempt.
+
+        Raced flights (deadline configured) can outlive both the attempt
+        and the machine — their deadline and completion hops may fire
+        after the machine moved on — so they are never pooled; the
+        unraced common case reuses the proxy's pooled flights.
+        """
+        flights = self.proxy._flights
+        if raced or not flights:
+            flight = _Flight(self.proxy)
+        else:
+            flight = flights.pop()
+        flight.machine = self
+        flight.backend = self.backend
+        flight.target_cluster = self.target_cluster
+        flight.ctx = self.attempt_ctx
+        flight.body_factory = self.body_factory
+        flight.raced = raced
+        # No further resets needed: pooled flights come back from
+        # _recycle() with span/replica references cleared, raced
+        # flights are always fresh (anyof/call flags start False from
+        # __init__), and success/holding_slot are written by every path
+        # that later reads them.
+        return flight
+
     # -- attempt epilogue / retry loop --------------------------------- #
 
     def _attempt_end(self, success: bool, timed_out: bool) -> None:
-        """Mirror of _attempt()'s epilogue plus the dispatch retry loop."""
+        """Record the attempt's outcome, then finish, back off or retry."""
         proxy = self.proxy
         now = self.sim.now
         latency = now - self.attempt_start
@@ -353,7 +267,12 @@ class _RequestMachine:
         self._begin_attempt()
 
     def _finish(self, success: bool) -> None:
-        """Close the root span, emit the record, recycle the machine."""
+        """Close the root span, recycle the machine, hand over the record.
+
+        The machine goes back to its proxy's free list *before* ``done``
+        runs: a call-graph continuation may dispatch on the same proxy
+        at once.
+        """
         proxy = self.proxy
         now = self.sim.now
         root = self.root_span
@@ -363,8 +282,7 @@ class _RequestMachine:
             self.ctx.end(
                 root, now,
                 status=trace_model.OK if success else trace_model.ERROR)
-        engine = self.engine
-        engine.records.append(RequestRecord(
+        record = RequestRecord(
             request_id=self.request_id,
             service=proxy.service,
             source_cluster=proxy.source_cluster,
@@ -374,44 +292,51 @@ class _RequestMachine:
             end_s=now,
             success=success,
             attempts=self.attempts,
-        ))
-        engine._recycle_machine(self)
+        )
+        done = self.done
+        self._reset()
+        machines = proxy._machines
+        if len(machines) < _MAX_FREE:
+            machines.append(self)
+        done(record)
 
 
 class _Flight:
     """One attempt's forward leg: WAN out → replica → WAN back.
 
-    Mirrors :meth:`ClientProxy._forward` (plus
-    :meth:`Replica.handle` / :meth:`Replica._handle_down`). Raced
-    flights additionally mirror the ``spawn + deadline + AnyOf``
-    protocol of :meth:`ClientProxy._forward_with_deadline`: completion
-    and deadline each fire a delay-0 "any-of" hop, the first one wins,
-    and the loser's pop is a no-op — the exact event pattern (and
-    therefore tie-break behavior) of the generator engine. A flight
-    abandoned by the deadline keeps running against the replica, as the
-    defused process does.
+    On the replica the failure decision is drawn when execution *starts*
+    (a failing service fails whatever it touches, whether or not the
+    request queued first); failed requests occupy the replica for the
+    profile's failure latency — errors are typically fast. A down
+    replica answers with that latency too (fail-fast) or not at all
+    (blackhole); a request whose replica crashed while it sat in the
+    queue dies with the pod, holding its slot meanwhile as a hung worker
+    would. The ``server.queue`` / ``server.exec`` spans are the
+    queue-vs-execution split the critical-path report needs to tell
+    saturation from slowness.
     """
 
     __slots__ = (
-        "engine", "sim", "proxy", "sched", "net_delay",
-        "machine", "backend", "target_cluster", "ctx", "replica",
-        "raced", "anyof_triggered", "call_processed", "success",
+        "sim", "proxy", "sched", "gate", "net_delay",
+        "machine", "backend", "target_cluster", "ctx", "body_factory",
+        "replica", "raced", "anyof_triggered", "call_processed", "success",
         "holding_slot", "wan_span", "queue_span", "exec_span",
         "_begin_cb", "_arrived_cb", "_acquired_cb", "_exec_ok_cb",
         "_exec_failed_cb", "_down_done_cb", "_returned_cb",
-        "_deadline_cb", "_completion_cb", "_anyof_cb",
+        "_deadline_cb", "_completion_cb", "_anyof_cb", "_body_done_cb",
     )
 
-    def __init__(self, engine: FastRequestEngine):
-        self.engine = engine
-        self.sim = engine.sim
-        self.proxy = engine.proxy
-        self.sched = engine.sched
-        self.net_delay = engine.net_delay
+    def __init__(self, proxy):
+        self.sim = proxy.mesh.sim
+        self.proxy = proxy
+        self.sched = proxy._sched
+        self.gate = proxy._gate
+        self.net_delay = proxy._net_delay
         self.machine = None
         self.backend = None
         self.target_cluster = ""
         self.ctx = None
+        self.body_factory = None
         self.replica = None
         self.raced = False
         self.anyof_triggered = False
@@ -431,6 +356,23 @@ class _Flight:
         self._deadline_cb = self._deadline
         self._completion_cb = self._completion
         self._anyof_cb = self._anyof
+        self._body_done_cb = self._body_done
+
+    def _recycle(self) -> None:
+        # Only unraced flights come back (see _RequestMachine._flight);
+        # drop references so a pooled flight cannot keep a finished
+        # request alive.
+        self.machine = None
+        self.backend = None
+        self.replica = None
+        self.ctx = None
+        self.body_factory = None
+        self.wan_span = None
+        self.queue_span = None
+        self.exec_span = None
+        flights = self.proxy._flights
+        if len(flights) < _MAX_FREE:
+            flights.append(self)
 
     # -- WAN out ------------------------------------------------------- #
 
@@ -448,9 +390,12 @@ class _Flight:
                 attributes={"src": src, "dst": dst, "link": f"{src}->{dst}"})
         self.wan_span = span
         if math.isinf(delay):
+            # Partitioned: without a deadline the caller hangs, which is
+            # what a blackholed TCP connection does (the open span is
+            # the trace's record of the hang).
             if span is not None:
                 span.attributes["partitioned"] = True
-            return  # parked forever, like `yield sim.event()`
+            return
         if delay > 0:
             self.sched(delay, self._arrived_cb)
         else:
@@ -476,10 +421,9 @@ class _Flight:
                 attributes={"replica": replica.name})
         server = replica.server
         if server.try_acquire():
-            # Mirror the immediate-grant acquire event (delay-0 pop).
             self.sched(0.0, self._acquired_cb)
         else:
-            server.enqueue_waiter(self.engine.pool.gate(self._acquired_cb))
+            server.enqueue_waiter(self.gate(self._acquired_cb))
 
     def _acquired(self) -> None:
         sim = self.sim
@@ -489,8 +433,6 @@ class _Flight:
             self.queue_span = None
         replica = self.replica
         if not replica.up:
-            # Crashed while queued: the connection dies with the pod,
-            # the slot is held meanwhile (hung-worker semantics).
             self._begin_down(holding_slot=True)
             return
         now = sim.now
@@ -507,6 +449,12 @@ class _Flight:
                        self._exec_ok_cb)
 
     def _exec_ok(self) -> None:
+        factory = self.body_factory
+        if factory is not None:
+            body = factory(self.target_cluster)
+            if body is not None:
+                body(self._body_done_cb)
+                return
         replica = self.replica
         replica.completed += 1
         if self.exec_span is not None:
@@ -516,6 +464,15 @@ class _Flight:
         self.success = True
         replica.server.release()
         self._wan_back()
+
+    def _body_done(self, ok=None) -> None:
+        """``resume`` of a body: its verdict decides the execution."""
+        if ok is None or ok:
+            # The body has run: finish as a plain successful execution.
+            self.body_factory = None
+            self._exec_ok()
+        else:
+            self._exec_failed()
 
     def _exec_failed(self) -> None:
         replica = self.replica
@@ -539,8 +496,7 @@ class _Flight:
                 attributes={"replica": replica.name,
                             "down": replica.down_mode})
         if replica.down_mode == "blackhole":
-            replica._blackhole_gates.append(
-                self.engine.pool.gate(self._down_done_cb))
+            replica._blackhole_gates.append(self.gate(self._down_done_cb))
         else:
             self.sched(replica.profile.failure_latency_s, self._down_done_cb)
 
@@ -588,32 +544,28 @@ class _Flight:
         if not self.raced:
             machine = self.machine
             success = self.success
-            self.engine._recycle_flight(self)
+            self._recycle()
             machine._attempt_end(success, False)
             return
-        # Mirror: the forward process's completion event (delay-0 pop).
         self.sched(0.0, self._completion_cb)
 
-    # -- deadline race (mirror of _forward_with_deadline) -------------- #
+    # -- deadline race -------------------------------------------------- #
 
     def _completion(self) -> None:
-        """The forward "process completion" pop: may trigger the any-of."""
+        """The flight is back: decides the race unless the deadline did."""
         self.call_processed = True
         if not self.anyof_triggered:
             self.anyof_triggered = True
             self.sched(0.0, self._anyof_cb)
-        # else: the deadline already triggered the race — this pop is the
-        # abandoned call's side-effect-free completion, as in the
-        # generator engine.
 
     def _deadline(self) -> None:
-        """The deadline timeout pop: may trigger the any-of."""
+        """The deadline passed: decides the race unless the flight did."""
         if not self.anyof_triggered:
             self.anyof_triggered = True
             self.sched(0.0, self._anyof_cb)
 
     def _anyof(self) -> None:
-        """The AnyOf pop: resume the machine with the race outcome.
+        """Resume the machine with the race outcome.
 
         Runs exactly once per raced attempt. If the completion hop has
         been processed the attempt succeeded/failed on its own; otherwise

@@ -6,7 +6,10 @@ a backend, (2) adds the proxy's own small forwarding overhead, (3) crosses
 the network to the chosen backend's cluster, (4) waits for the replica, and
 (5) records data-plane telemetry on completion — exactly the vantage point
 from which L3's metrics are collected (latency as perceived by the
-*client-side* proxy, including WAN and queueing).
+*client-side* proxy, including WAN and queueing). This module holds the
+proxy's configuration and state; the lifecycle itself — one state machine
+per request, started by :meth:`ClientProxy.dispatch` — is
+:mod:`repro.mesh.fastdispatch`.
 
 Resilience knobs (both off by default, preserving the paper's evaluated
 configuration):
@@ -30,17 +33,13 @@ is one ``None`` check per request.
 from __future__ import annotations
 
 import itertools
-import math
 
 from repro.balancers.base import Balancer
 from repro.errors import MeshError
 from repro.mesh.cluster import split_backend_name
 from repro.mesh.ejection import OutlierEjectionConfig, OutlierEjector
-from repro.mesh.request import RequestRecord
+from repro.mesh.fastdispatch import _RequestMachine
 from repro.telemetry.metrics import BackendTelemetry
-# Span name/kind vocabulary only — repro.tracing.model has no mesh
-# dependencies, so the data plane stays import-cycle free.
-from repro.tracing import model as trace_model
 
 
 class ClientProxy:
@@ -99,135 +98,75 @@ class ClientProxy:
         if outlier_ejection is not None:
             self.ejector = OutlierEjector(
                 list(self.telemetry), outlier_ejection)
+        # What the request machines pre-bind, and their free lists.
+        pool = mesh.sim.pool
+        self._sched = pool.schedule
+        self._gate = pool.gate
+        self._net_delay = mesh.network.delay
+        self._machines: list[_RequestMachine] = []
+        self._flights: list = []
+        self._targets: dict[str, tuple] = {}
 
-    def dispatch(self, intended_start_s: float | None = None,
-                 body_factory=None):
-        """Process one request end to end; returns a :class:`RequestRecord`.
+    def dispatch(self, intended_start_s: float, done,
+                 body_factory=None) -> None:
+        """Start one request; ``done(record)`` fires when it completes.
 
-        This is a simulation generator — drive it with ``sim.spawn`` or
-        ``yield from`` inside another process.
+        The request begins at the current simulation time, one agenda
+        hop after this call; its lifecycle is the state machine of
+        :mod:`repro.mesh.fastdispatch`.
 
         Args:
             intended_start_s: open-loop schedule time latency is measured
-                from (defaults to now).
-            body_factory: optional ``f(target_cluster) -> generator
-                function`` supplying the service body executed on the
-                chosen replica (call-graph applications use this to run
-                downstream calls from the backend's own cluster).
+                from (pass ``sim.now`` for "now").
+            done: called with the finished
+                :class:`~repro.mesh.request.RequestRecord`.
+            body_factory: optional ``f(target_cluster) -> body | None``
+                supplying the service body run on the chosen replica
+                while its slot is held; ``body(resume)`` must call
+                ``resume(ok)`` once (call-graph applications use this to
+                make downstream calls from the backend's own cluster).
         """
-        sim = self.mesh.sim
-        start = sim.now
-        if intended_start_s is None:
-            intended_start_s = start
-        request_id = next(self._request_ids)
+        # _machine() inlined — this runs once per request.
+        machines = self._machines
+        machine = machines.pop() if machines else _RequestMachine(self)
+        machine.intended_start_s = intended_start_s
+        machine.done = done
+        machine.body_factory = body_factory
+        self._sched(0.0, machine._start_cb)
 
-        tracer = self.mesh.tracer
-        ctx = tracer.trace() if tracer is not None else None
-        root = None
-        if ctx is not None:
-            root = ctx.start(
-                trace_model.REQUEST, trace_model.CLIENT, intended_start_s,
-                attributes={
-                    "request_id": request_id,
-                    "service": self.service,
-                    "source_cluster": self.source_cluster,
-                })
-            ctx = ctx.child(root)
+    def _machine(self, intended_start_s: float, done, body_factory):
+        """A request machine ready to ``_start()`` (pooled when possible).
 
-        attempts = 0
-        while True:
-            attempts += 1
-            success, backend_name = yield from self._attempt(
-                body_factory, ctx, attempts)
-            if success or attempts > self.max_retries:
-                break
-            if self.retry_backoff_s > 0:
-                if ctx is not None:
-                    backoff = ctx.start(trace_model.RETRY_BACKOFF,
-                                        trace_model.CLIENT, sim.now)
-                    yield sim.timeout(self.retry_backoff_s)
-                    ctx.end(backoff, sim.now)
-                else:
-                    yield sim.timeout(self.retry_backoff_s)
-
-        if root is not None:
-            root.attributes["attempts"] = attempts
-            root.attributes["backend"] = backend_name
-            ctx.end(root, sim.now,
-                    status=trace_model.OK if success else trace_model.ERROR)
-
-        return RequestRecord(
-            request_id=request_id,
-            service=self.service,
-            source_cluster=self.source_cluster,
-            backend=backend_name,
-            intended_start_s=intended_start_s,
-            start_s=start,
-            end_s=sim.now,
-            success=success,
-            attempts=attempts,
-        )
-
-    def _attempt(self, body_factory, ctx=None, attempt_no: int = 1):
-        """One request attempt; returns ``(success, backend_name)``.
-
-        Each attempt is a fresh balancer decision and is individually
-        recorded in the data-plane telemetry — exactly what a per-try
-        proxy sees, and what makes retried failures visible to L3's
-        success-rate signal. With tracing on, each attempt is one span
-        carrying the chosen backend, any ejection skips, and the
-        controller decision id that produced the routing weights.
+        For callers that already own the current agenda hop — call-graph
+        bodies start their downstream requests with ``_start()`` directly
+        instead of going through :meth:`dispatch`'s extra hop.
         """
-        sim = self.mesh.sim
-        start = sim.now
-        backend_name, ejection_skips = self._pick_backend(start)
-        telemetry = self.telemetry.get(backend_name)
-        if telemetry is None:
-            raise MeshError(
-                f"balancer picked unknown backend {backend_name!r} "
-                f"for service {self.service!r}")
-        _service, target_cluster = split_backend_name(backend_name)
-        backend = self.mesh.deployment(self.service).backend_in(target_cluster)
+        machines = self._machines
+        machine = machines.pop() if machines else _RequestMachine(self)
+        machine.intended_start_s = intended_start_s
+        machine.done = done
+        machine.body_factory = body_factory
+        return machine
 
-        span = None
-        if ctx is not None:
-            attributes = {"backend": backend_name, "attempt": attempt_no}
-            if ejection_skips:
-                attributes["ejection.skips"] = ejection_skips
-            audit = ctx.tracer.audit
-            if audit is not None:
-                attributes["decision_id"] = audit.last_decision_id
-            span = ctx.start(trace_model.ATTEMPT, trace_model.CLIENT,
-                             start, attributes=attributes)
-            ctx = ctx.child(span)
+    def _resolve(self, backend_name: str) -> tuple:
+        """``(Backend, target_cluster, telemetry)`` for a pick, cached.
 
-        telemetry.on_request_sent()
-        self.balancer.on_request_sent(backend_name, start)
-
-        if self.forward_overhead_s > 0:
-            yield sim.timeout(self.forward_overhead_s)
-
-        timed_out = False
-        if self.request_timeout_s is None:
-            success = yield from self._forward(
-                backend, target_cluster, body_factory, ctx)
-        else:
-            success, timed_out = yield from self._forward_with_deadline(
-                backend, backend_name, target_cluster, body_factory, start,
-                ctx)
-
-        latency = sim.now - start
-        telemetry.on_response(latency, success)
-        self.balancer.on_response(backend_name, sim.now, latency, success)
-        if self.ejector is not None:
-            self.ejector.on_response(backend_name, sim.now, success)
-        if span is not None:
-            if timed_out:
-                status = trace_model.TIMEOUT
-            else:
-                status = trace_model.OK if success else trace_model.ERROR
-            ctx.end(span, sim.now, status=status)
-        return success, backend_name
+        The pick set is fixed for a deployed service, so the name split
+        and deployment lookup are resolved once per backend.
+        """
+        found = self._targets.get(backend_name)
+        if found is None:
+            telemetry = self.telemetry.get(backend_name)
+            if telemetry is None:
+                raise MeshError(
+                    f"balancer picked unknown backend {backend_name!r} "
+                    f"for service {self.service!r}")
+            _service, target_cluster = split_backend_name(backend_name)
+            backend = self.mesh.deployment(
+                self.service).backend_in(target_cluster)
+            found = (backend, target_cluster, telemetry)
+            self._targets[backend_name] = found
+        return found
 
     def _pick_backend(self, now: float) -> tuple[str, int]:
         """Balancer pick, filtered through the outlier ejector if enabled.
@@ -252,76 +191,3 @@ class ClientProxy:
                 return candidate, skips
             skips += 1
         return backend_name, skips
-
-    def _wan_hop(self, ctx, name: str, src: str, dst: str):
-        """One network leg: sample the delay, optionally traced.
-
-        An infinite delay (partition) parks the request on a never-firing
-        event — without a deadline the caller hangs, which is exactly what
-        a blackholed TCP connection does (the open span is the trace's
-        record of the hang).
-        """
-        sim = self.mesh.sim
-        delay = self.mesh.network.delay(src, dst, self.rng, sim.now)
-        span = None
-        if ctx is not None:
-            span = ctx.start(name, trace_model.NETWORK, sim.now,
-                             attributes={"src": src, "dst": dst,
-                                         "link": f"{src}->{dst}"})
-        if math.isinf(delay):
-            if span is not None:
-                span.attributes["partitioned"] = True
-            yield sim.event()
-            return False  # pragma: no cover - the event never fires
-        if delay > 0:
-            yield sim.timeout(delay)
-        if span is not None:
-            ctx.end(span, sim.now)
-        return True
-
-    def _forward(self, backend, target_cluster: str, body_factory,
-                 ctx=None):
-        """The remote leg: network out, replica, network back."""
-        sim = self.mesh.sim
-        arrived = yield from self._wan_hop(
-            ctx, trace_model.WAN_SEND, self.source_cluster, target_cluster)
-        if not arrived:
-            return False  # pragma: no cover - the event never fires
-
-        body = body_factory(target_cluster) if body_factory else None
-        success = yield from backend.handle(body, trace=ctx)
-
-        returned = yield from self._wan_hop(
-            ctx, trace_model.WAN_RECV, target_cluster, self.source_cluster)
-        if not returned:
-            return False  # pragma: no cover - the event never fires
-        return success
-
-    def _forward_with_deadline(self, backend, backend_name: str,
-                               target_cluster: str, body_factory,
-                               start: float, ctx=None):
-        """Race the remote leg against the per-attempt deadline.
-
-        On timeout the in-flight call is abandoned, not cancelled: whatever
-        the server was doing keeps happening (and keeps occupying the
-        replica), but this client stops waiting — the attempt is a failure.
-        Returns ``(success, timed_out)``.
-        """
-        sim = self.mesh.sim
-        remaining = self.request_timeout_s - (sim.now - start)
-        if remaining <= 0:
-            self.timeouts += 1
-            return False, True
-        call = sim.spawn(
-            self._forward(backend, target_cluster, body_factory, ctx),
-            name=f"fwd/{backend_name}")
-        deadline = sim.timeout(remaining)
-        yield sim.any_of([call, deadline])
-        if call.processed and call.ok:
-            return bool(call.value), False
-        # The deadline won; the abandoned call's eventual failure (if any)
-        # must not abort the run. Its spans stay open (the export skips
-        # them) — the attempt span's "timeout" status is the record.
-        call.defused = True
-        self.timeouts += 1
-        return False, True

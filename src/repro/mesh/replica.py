@@ -11,6 +11,11 @@ Replicas can also *crash* (fault injection): a down replica either fails
 requests fast (a connection refused / 503 from the platform) or blackholes
 them (the pod vanished mid-connection and nothing answers), and restores on
 :meth:`Replica.restart`.
+
+A replica is state, not behaviour: what a request does here — wait for a
+slot, draw failure and service time from the profile, run its body, hang
+on a crashed pod — is the replica leg of
+:class:`repro.mesh.fastdispatch._Flight`.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 from repro.errors import ConfigError
 from repro.sim.engine import Simulator
 from repro.sim.resources import Server
-from repro.tracing import model as trace_model
 from repro.workloads.profiles import BackendProfile
 
 # What a down replica does with the requests that still reach it.
@@ -92,98 +96,3 @@ class Replica:
         gates, self._blackhole_gates = self._blackhole_gates, []
         for gate in gates:
             gate.succeed()
-
-    def handle(self, body=None, trace=None):
-        """Process one request; yields until done, returns success bool.
-
-        The failure decision is drawn when execution *starts* (a failing
-        service fails whatever it touches, whether or not the request
-        queued first). Failed requests occupy the replica for the
-        profile's failure latency — errors are typically fast.
-
-        Args:
-            body: optional generator *function* executed after the
-                replica's own compute time while still holding the server
-                slot (thread-per-request semantics); used by call-graph
-                applications to invoke downstream services. Its boolean
-                return value is ANDed into the request's success.
-            trace: optional :class:`~repro.tracing.recorder.TraceContext`
-                under which the replica records a ``server.queue`` span
-                (waiting for a slot) and a ``server.exec`` span (running)
-                — the queue-vs-execution split the critical-path report
-                needs to tell saturation from slowness.
-        """
-        if not self.up:
-            yield from self._handle_down(trace)
-            return False
-        queue_span = None
-        if trace is not None:
-            queue_span = trace.start(
-                trace_model.SERVER_QUEUE, trace_model.SERVER, self.sim.now,
-                attributes={"replica": self.name})
-        yield self.server.acquire()
-        if queue_span is not None:
-            trace.end(queue_span, self.sim.now)
-        try:
-            if not self.up:
-                # Crashed while this request sat in the queue: the queued
-                # connections die with the pod (the slot is held meanwhile,
-                # as a hung worker would hold it).
-                yield from self._handle_down(trace)
-                return False
-            now = self.sim.now
-            exec_span = None
-            if trace is not None:
-                exec_span = trace.start(
-                    trace_model.SERVER_EXEC, trace_model.SERVER, now,
-                    attributes={"replica": self.name})
-            if self.profile.sample_failure(self.rng, now):
-                yield self.sim.timeout(self.profile.failure_latency_s)
-                self.failed += 1
-                if exec_span is not None:
-                    trace.end(exec_span, self.sim.now,
-                              status=trace_model.ERROR)
-                return False
-            service_time = (self.profile.sample_service_time(self.rng, now)
-                            * self.service_time_scale)
-            yield self.sim.timeout(service_time)
-            success = True
-            if body is not None:
-                body_ok = yield from body()
-                success = bool(body_ok) if body_ok is not None else True
-            if success:
-                self.completed += 1
-            else:
-                self.failed += 1
-            if exec_span is not None:
-                trace.end(exec_span, self.sim.now,
-                          status=trace_model.OK if success
-                          else trace_model.ERROR)
-            return success
-        finally:
-            self.server.release()
-
-    def _handle_down(self, trace=None):
-        """One request against a down replica; always ends in failure.
-
-        Fail-fast mode answers with the profile's failure latency (an error
-        response is still a response); blackhole mode parks the request on
-        a gate that fires only at restart — without a client-side timeout
-        the caller hangs for as long as the replica stays down.
-        """
-        span = None
-        if trace is not None:
-            span = trace.start(
-                trace_model.SERVER_EXEC, trace_model.SERVER, self.sim.now,
-                attributes={"replica": self.name,
-                            "down": self.down_mode})
-        if self.down_mode == "blackhole":
-            gate = self.sim.event()
-            self._blackhole_gates.append(gate)
-            yield gate
-        else:
-            yield self.sim.timeout(self.profile.failure_latency_s)
-        self.failed += 1
-        if span is not None:
-            trace.end(span, self.sim.now, status=trace_model.ERROR)
-        return True

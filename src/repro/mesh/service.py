@@ -99,17 +99,6 @@ class Backend:
         """
         return sum([replica.server.occupancy for replica in self.replicas])
 
-    def handle(self, body=None, trace=None):
-        """Serve one request on the next replica; returns success bool.
-
-        ``trace`` is an optional :class:`~repro.tracing.recorder.
-        TraceContext` (parented at the client's attempt span) under which
-        the replica records its queue and execution spans.
-        """
-        replica = self.pick_replica()
-        success = yield from replica.handle(body, trace=trace)
-        return success
-
 
 class ServiceDeployment:
     """A service with one backend per cluster."""

@@ -11,7 +11,7 @@ import heapq
 from itertools import count
 
 from repro.errors import SimulationError
-from repro.sim.events import (_PENDING, AllOf, AnyOf, Callback, Event,
+from repro.sim.events import (_PENDING, Callback, Event, EventPool,
                               PooledCallback, Timeout, unhandled_failure)
 from repro.sim.process import Process
 
@@ -34,13 +34,16 @@ class Simulator:
 
     # Slotted: the clock store/read happens once per processed event, and
     # slot access skips the instance-dict lookup.
-    __slots__ = ("_now", "_heap", "_sequence", "events_processed")
+    __slots__ = ("_now", "_heap", "_sequence", "events_processed", "pool")
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
         self._heap: list = []
         self._sequence = count()
         self.events_processed = 0
+        # The simulation's one free list of callback events: every proxy
+        # and the load generator schedule their hops through it.
+        self.pool = EventPool(self)
 
     # ------------------------------------------------------------------ #
     # Clock and agenda
@@ -71,14 +74,6 @@ class Simulator:
     def timeout(self, delay: float, value=None) -> Timeout:
         """Create an event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
-
-    def all_of(self, events) -> AllOf:
-        """Event firing when all of ``events`` have fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Event firing when any of ``events`` has fired."""
-        return AnyOf(self, events)
 
     def spawn(self, generator, name: str | None = None) -> Process:
         """Start a generator as a process at the current time."""
@@ -143,7 +138,7 @@ class Simulator:
         processed = self.events_processed
         # Two copies of the loop so the bounded variant (every benchmark
         # run) pays neither a per-event `until is None` test nor a
-        # sentinel comparison. Pooled callbacks — the bulk of fast-path
+        # sentinel comparison. Pooled callbacks — the bulk of data-plane
         # traffic — are dispatched inline (the exact body of
         # PooledCallback._process, which step() still uses): they carry
         # no exception, no waiters and no external callbacks, so the

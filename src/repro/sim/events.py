@@ -167,66 +167,13 @@ class Callback(Event):
                 callback(self)
 
 
-class _Condition(Event):
-    """Shared machinery for :class:`AllOf` / :class:`AnyOf`."""
-
-    __slots__ = ("events", "_n_fired")
-
-    def __init__(self, sim: "Simulator", events):
-        super().__init__(sim)
-        self.events = list(events)
-        self._n_fired = 0
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event._exception)
-            return
-        self._n_fired += 1
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect(self) -> dict:
-        # Only children whose callbacks have run count as fired — a
-        # Timeout is "triggered" (scheduled) from birth but has not
-        # happened yet.
-        return {e: e._value for e in self.events if e.processed and e.ok}
-
-
-class AllOf(_Condition):
-    """Fires when every child event has fired; value maps event → value."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._n_fired == len(self.events)
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any child event fires; value maps event → value."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._n_fired >= 1
-
-
 class PooledCallback(Event):
     """A reusable zero-argument callback event owned by an :class:`EventPool`.
 
-    The allocation-lean primitive behind the fast-path request engine
-    (:mod:`repro.mesh.fastdispatch`): instead of one fresh ``Timeout`` +
-    generator-resume machinery per hop, a hop is one pooled event
-    carrying a pre-bound method. The event recycles itself back into its
+    The allocation-lean primitive behind the request state machines
+    (:mod:`repro.mesh.fastdispatch`): a hop is one pooled event carrying
+    a pre-bound method, not a fresh ``Timeout`` plus generator-resume
+    machinery. The event recycles itself back into its
     pool *before* invoking the callback, so a chain of hops typically
     reuses one object end to end.
 
@@ -271,8 +218,8 @@ class PooledCallback(Event):
 class EventPool:
     """A bounded free list of :class:`PooledCallback` events.
 
-    ``schedule`` replaces the per-hop ``Timeout`` allocation of the
-    generator engine; ``gate`` hands out an *unscheduled* event for
+    ``schedule`` runs a callback after a delay without allocating an
+    event per hop; ``gate`` hands out an *unscheduled* event for
     queue-waiter / blackhole-gate duty (fired later via ``succeed()``).
     The free list is bounded by ``max_free``: under steady load the pool
     reaches its working-set size and every hop is a reuse; events freed
@@ -316,7 +263,7 @@ class EventPool:
     def schedule(self, delay: float, fn) -> PooledCallback:
         """Schedule ``fn()`` to run ``delay`` seconds from now.
 
-        This is the fast path's hottest call (one per state-machine
+        This is the data plane's hottest call (one per state-machine
         hop), so :meth:`acquire` and the simulator's ``_enqueue`` are
         inlined: one free-list pop, one heap push.
         """

@@ -1,9 +1,9 @@
-"""Shared resources for simulation processes.
+"""Shared resources of the simulation.
 
 :class:`Server` models a bounded-concurrency executor with a FIFO wait
 queue — the building block for microservice replicas (a replica with
 ``capacity`` worker slots queues excess requests, which is what makes load
-balancing matter). :class:`Store` is an unbounded FIFO hand-off channel.
+balancing matter).
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from repro.sim.events import Event
 class Server:
     """A resource with ``capacity`` concurrent slots and a FIFO queue.
 
-    Usage inside a process::
+    Usage::
 
-        yield server.acquire()
-        try:
-            yield sim.timeout(service_time)
-        finally:
-            server.release()
+        if server.try_acquire():
+            ...                       # slot held: start the work
+        else:
+            server.enqueue_waiter(gate)   # gate fires once a slot is held
+        ...
+        server.release()              # hands the slot to the oldest waiter
     """
 
     __slots__ = ("sim", "capacity", "_in_use", "_waiters")
@@ -52,22 +53,11 @@ class Server:
         """Held slots plus waiting acquisitions (one read for gauges)."""
         return self._in_use + len(self._waiters)
 
-    def acquire(self) -> Event:
-        """Return an event firing once a slot is held by the caller."""
-        event = Event(self.sim)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
     def try_acquire(self) -> bool:
-        """Grab a slot without an event if one is free right now.
+        """Grab a slot if one is free right now.
 
-        The fast-path (allocation-free) side of :meth:`acquire`: returns
-        ``True`` with the slot held, or ``False`` without queueing
-        anything — callers that get ``False`` park a waiter via
+        Returns ``True`` with the slot held, or ``False`` without
+        queueing anything — callers that get ``False`` park a waiter via
         :meth:`enqueue_waiter`.
         """
         if self._in_use < self.capacity:
@@ -76,11 +66,11 @@ class Server:
         return False
 
     def enqueue_waiter(self, event: Event) -> None:
-        """Queue ``event`` for the next free slot (FIFO with acquire()).
+        """Queue ``event`` for the next free slot (FIFO).
 
-        ``event`` may be any agenda event woken via ``succeed()`` —
-        including a pooled callback from the fast-path engine; it shares
-        one FIFO with generator-based acquirers.
+        ``event`` may be any agenda event woken via ``succeed()`` — a
+        bare :class:`Event` a process yields on, or a pooled gate
+        (:meth:`~repro.sim.events.EventPool.gate`).
         """
         self._waiters.append(event)
 
@@ -94,40 +84,3 @@ class Server:
             waiter.succeed()
         else:
             self._in_use -= 1
-
-    def cancel(self, event: Event) -> bool:
-        """Remove a queued (not yet granted) acquisition. True if removed."""
-        try:
-            self._waiters.remove(event)
-        except ValueError:
-            return False
-        return True
-
-
-class Store:
-    """An unbounded FIFO channel between producer and consumer processes."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._items: deque = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item) -> None:
-        """Deposit ``item``; wakes the oldest blocked getter, if any."""
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event firing with the next item (FIFO order)."""
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event

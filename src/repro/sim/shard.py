@@ -1,8 +1,8 @@
 """Cluster-sharded fleet execution with epoch-barrier merges.
 
-The per-event engines (``engine="fast"`` / ``"process"``) are capped at
-the event kernel's own event rate. This module trades their
-record-for-record equivalence for bulk throughput: it
+The per-event engine (``run_scenario_benchmark``) is capped at the event
+kernel's own event rate. This module trades its record-for-record
+determinism contract for bulk throughput: it
 executes a fleet scenario as a *bulk-synchronous* computation whose only
 determinism contract is with **itself** — a fixed ``(scenario, seed)``
 produces byte-identical results for **every** shard count (``jobs=1``
@@ -263,7 +263,7 @@ class _ClusterState:
             prob = _series_at(profile.failure_prob, arrival, np)
             failed = fail_u < prob
             # A failing request occupies its slot for the (fast) error
-            # latency, as Replica.handle does.
+            # latency, as on the per-event replica leg.
             service = np.where(failed, profile.failure_latency_s, service)
             success = ~failed
         else:

@@ -12,11 +12,18 @@ hop is load-balanced between clusters by the algorithm under test — except
 services marked ``local_only`` (stateful caches/databases), which pin to
 the caller's cluster, as the paper's deployment does implicitly by having
 stateful backends per cluster.
+
+Execution is continuation-style on the one request lifecycle
+(:mod:`repro.mesh.fastdispatch`): a hop is a proxy dispatch whose flight
+runs the called service's stages as a *body* on the chosen replica —
+holding its slot, thread-per-request — and resumes when the last stage
+is done (:class:`_Body`, which also documents the event order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.balancers.static_weights import StaticWeightBalancer
 from repro.errors import ConfigError, MeshError
@@ -124,6 +131,7 @@ class CallGraphApp:
         self.root_service = root_service
         self.client_cluster = client_cluster
         self.rng = rng
+        self._sched = mesh.sim.pool.schedule
         self._endpoint_total = sum(e.weight for e in self.endpoints)
         self._balancer_factory = balancer_factory
         self._shared_balancers: dict[str, object] = {}
@@ -199,58 +207,115 @@ class CallGraphApp:
                 return endpoint
         return self.endpoints[-1]
 
-    def dispatch(self, intended_start_s: float | None = None):
-        """Run one request of the weighted endpoint mix end to end."""
+    def dispatch(self, intended_start_s: float, done) -> None:
+        """Run one request of the weighted endpoint mix end to end.
+
+        ``done(record)`` fires with the root service's record. The
+        request enters one agenda hop from now; the endpoint is drawn in
+        that hop.
+        """
+        self._sched(0.0, partial(self._enter, intended_start_s, done))
+
+    def _enter(self, intended_start_s: float, done) -> None:
         endpoint = self._pick_endpoint()
-        record = yield from self._call(
-            self.root_service, self.client_cluster,
-            stages_override=endpoint.stages,
-            intended_start_s=intended_start_s)
-        return record
+        self._call(self.root_service, self.client_cluster,
+                   intended_start_s, done, stages=endpoint.stages)
 
     def _call(self, service: str, source_cluster: str,
-              stages_override=None, intended_start_s=None):
-        """Invoke ``service`` from ``source_cluster`` through its proxy."""
-        spec = self.services[service]
-        stages = spec.stages if stages_override is None else stages_override
+              intended_start_s: float, done, stages=None,
+              own_hop: bool = False) -> None:
+        """Invoke ``service`` from ``source_cluster`` through its proxy.
 
-        def body_factory(target_cluster: str):
-            if not stages:
-                return None
-            return lambda: self._run_stages(stages, target_cluster)
-
+        The request starts within the current agenda hop, or — for the
+        branches of a parallel fan-out — one hop later (``own_hop``).
+        """
         proxy = self._proxy(source_cluster, service)
-        record = yield from proxy.dispatch(
-            intended_start_s=intended_start_s, body_factory=body_factory)
-        return record
+        if stages is None:
+            stages = self.services[service].stages
+        body_factory = partial(_Body, self, stages) if stages else None
+        if own_hop:
+            proxy.dispatch(intended_start_s, done, body_factory)
+        else:
+            proxy._machine(intended_start_s, done, body_factory)._start()
 
-    def _run_stages(self, stages, cluster: str):
-        """Execute a service body: its downstream stages, in order."""
-        sim = self.mesh.sim
-        ok = True
-        for stage in stages:
-            if isinstance(stage, ParallelCalls):
-                if len(stage.services) == 1:
-                    record = yield from self._call(
-                        stage.services[0], cluster)
-                    ok = ok and record.success
-                else:
-                    procs = [
-                        sim.spawn(self._call(child, cluster),
-                                  name=f"call/{child}")
-                        for child in stage.services
-                    ]
-                    yield sim.all_of(procs)
-                    ok = ok and all(p.value.success for p in procs)
-            elif isinstance(stage, CachedRead):
-                record = yield from self._call(stage.cache, cluster)
-                ok = ok and record.success
-                if self.rng.random() >= stage.hit_prob:
-                    record = yield from self._call(stage.db, cluster)
-                    ok = ok and record.success
+
+class _Body:
+    """One service body in flight: its stages, run in order on ``cluster``.
+
+    Called by the request's flight as ``body(resume)`` once the replica's
+    own compute time has elapsed; calls ``resume(ok)`` after the last
+    stage. Downstream requests are ordinary proxy dispatches; where they
+    enter the agenda is part of the determinism contract:
+
+    * a single-service :class:`ParallelCalls` and both legs of a
+      :class:`CachedRead` start within the hop that reached the stage,
+      and the next stage starts within the hop that completed them; the
+      cache-miss draw is taken when the cache leg completes;
+    * a multi-service :class:`ParallelCalls` starts each branch one
+      delay-0 hop later, in listed order; each branch's completion is
+      counted one delay-0 hop after its record arrives, and the stage
+      loop continues one further delay-0 hop after the last count.
+    """
+
+    __slots__ = ("app", "stages", "cluster", "resume", "index", "ok",
+                 "pending", "stage")
+
+    def __init__(self, app: CallGraphApp, stages, cluster: str):
+        self.app = app
+        self.stages = stages
+        self.cluster = cluster
+        self.index = 0
+        self.ok = True
+        self.pending = 0
+
+    def __call__(self, resume) -> None:
+        self.resume = resume
+        self._next_stage()
+
+    def _next_stage(self) -> None:
+        if self.index == len(self.stages):
+            self.resume(self.ok)
+            return
+        stage = self.stages[self.index]
+        self.index += 1
+        app = self.app
+        now = app.mesh.sim.now
+        if isinstance(stage, ParallelCalls):
+            services = stage.services
+            if len(services) == 1:
+                app._call(services[0], self.cluster, now, self._leg_done)
             else:
-                raise ConfigError(f"unknown stage type: {stage!r}")
-        return ok
+                self.pending = len(services)
+                for child in services:
+                    app._call(child, self.cluster, now, self._branch_done,
+                              own_hop=True)
+        elif isinstance(stage, CachedRead):
+            self.stage = stage
+            app._call(stage.cache, self.cluster, now, self._cache_done)
+        else:
+            raise ConfigError(f"unknown stage type: {stage!r}")
+
+    def _leg_done(self, record) -> None:
+        self.ok = self.ok and record.success
+        self._next_stage()
+
+    def _cache_done(self, record) -> None:
+        self.ok = self.ok and record.success
+        app = self.app
+        if app.rng.random() >= self.stage.hit_prob:
+            app._call(self.stage.db, self.cluster, app.mesh.sim.now,
+                      self._leg_done)
+        else:
+            self._next_stage()
+
+    def _branch_done(self, record) -> None:
+        self.ok = self.ok and record.success
+        self.app._sched(0.0, self._branch_counted)
+
+    def _branch_counted(self) -> None:
+        self.pending -= 1
+        if self.pending == 0:
+            self.app._sched(0.0, self._next_stage)
 
 
 def deploy_callgraph_services(mesh, services: dict[str, ServiceSpec],

@@ -1,9 +1,12 @@
 """Tests for the benchmark coordinator (short runs)."""
 
+import gc
 import sys
+import weakref
 
 import pytest
 
+from repro.bench import coordinator
 from repro.bench.coordinator import (
     BenchmarkResult,
     ScenarioBenchConfig,
@@ -11,10 +14,22 @@ from repro.bench.coordinator import (
     run_scenario_benchmark,
 )
 from repro.errors import ConfigError
+from repro.mesh.ejection import OutlierEjectionConfig
+from repro.sim.engine import Simulator
 
 # Short but non-trivial runs keep this module fast (~ a few seconds).
 DURATION_S = 30.0
 ENV = ScenarioBenchConfig(warmup_s=10.0, drain_s=10.0)
+
+
+# ScenarioBenchConfig fields call-graph proxies do not take, each with a
+# non-default value.
+UNWIRED_PROXY_KNOBS = {
+    "max_retries": 2,
+    "retry_backoff_s": 0.05,
+    "request_timeout_s": 1.0,
+    "outlier_ejection": OutlierEjectionConfig(),
+}
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +100,38 @@ class TestScenarioBenchmark:
         assert aliased.records == rr_result.records
         assert aliased.events_processed == rr_result.events_processed
 
+    def test_process_engine_is_gone(self):
+        with pytest.raises(ConfigError, match="engine"):
+            run_scenario_benchmark(
+                "scenario-1", "l3", duration_s=10.0, env=ENV,
+                engine="process")
+
+    def test_finished_world_is_collected(self, monkeypatch):
+        # A world is one reference cycle; with the cyclic collector idle
+        # only the coordinator's own collect can free it.
+        alive_at_build = []
+        worlds = []
+
+        class TrackedSimulator(Simulator):
+            __slots__ = ("__weakref__",)
+
+            def __init__(self):
+                alive_at_build.append(
+                    sum(ref() is not None for ref in worlds))
+                super().__init__()
+                worlds.append(weakref.ref(self))
+
+        monkeypatch.setattr(coordinator, "Simulator", TrackedSimulator)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                run_scenario_benchmark(
+                    "scenario-1", "round-robin", duration_s=2.0, env=ENV)
+        finally:
+            gc.enable()
+        assert alive_at_build == [0, 0, 0]
+
     def test_env_validation(self):
         with pytest.raises(ConfigError):
             ScenarioBenchConfig(replicas=0)
@@ -114,6 +161,25 @@ class TestHotelBenchmark:
         b = run_hotel_benchmark(
             "l3", rps=30.0, duration_s=20.0, seed=7, env=ENV)
         assert a.p99_ms == b.p99_ms
+
+    def test_env_arrival_reaches_the_load_generator(self):
+        def gaps(arrival):
+            env = ScenarioBenchConfig(warmup_s=2.0, drain_s=5.0,
+                                      arrival=arrival)
+            result = run_hotel_benchmark(
+                "round-robin", rps=50.0, duration_s=4.0, seed=7, env=env)
+            starts = sorted(r.intended_start_s for r in result.records)
+            return {round(b - a, 9) for a, b in zip(starts, starts[1:])}
+
+        assert gaps("uniform") == {0.02}
+        assert len(gaps("poisson")) > 50
+
+    @pytest.mark.parametrize("knob", UNWIRED_PROXY_KNOBS)
+    def test_unwired_knob_rejected(self, knob):
+        env = ScenarioBenchConfig(
+            warmup_s=2.0, **{knob: UNWIRED_PROXY_KNOBS[knob]})
+        with pytest.raises(ConfigError, match=knob):
+            run_hotel_benchmark("l3", rps=10.0, duration_s=2.0, env=env)
 
 
 class TestBenchmarkResult:

@@ -54,7 +54,7 @@ class TestPropagationDelay:
         records = []
         loadgen = OpenLoopLoadGenerator(
             proxy, 100.0, rng.stream("load"), records)
-        sim.spawn(loadgen.run(sim, 60.0))
+        loadgen.start(sim, 60.0)
 
         observed = {}
 
@@ -85,7 +85,7 @@ class TestStalenessDecay:
         records = []
         loadgen = OpenLoopLoadGenerator(
             proxy, 150.0, rng.stream("load"), records)
-        sim.spawn(loadgen.run(sim, 60.0))
+        loadgen.start(sim, 60.0)
         sim.run(until=61.0)
 
         weights_loaded = dict(balancer.controller.last_weights)
@@ -130,7 +130,7 @@ class TestRecoveryAfterDegradation:
         records = []
         loadgen = OpenLoopLoadGenerator(
             proxy, 150.0, rng.stream("load"), records)
-        sim.spawn(loadgen.run(sim, 240.0))
+        loadgen.start(sim, 240.0)
 
         shares = {}
 

@@ -4,21 +4,26 @@ import pytest
 
 from repro.autoscale.hpa import Autoscaler, AutoscalerConfig
 from repro.errors import ConfigError
-from repro.mesh.service import Backend
 from repro.workloads.profiles import constant_backend_profile
+from tests.mesh._drive import backend_of, local_proxy, start
 
 
 @pytest.fixture
-def backend(sim, rng_registry):
+def proxy(sim, rng_registry):
     # Deterministic 1 s service time so occupancy is controllable.
-    return Backend(sim, "svc", "cluster-1",
-                   constant_backend_profile(1.0, 1.0), rng_registry,
-                   replicas=2, replica_capacity=4)
+    return local_proxy(sim, rng_registry,
+                       constant_backend_profile(1.0, 1.0),
+                       replicas=2, capacity=4)
 
 
-def flood(sim, backend, count):
+@pytest.fixture
+def backend(proxy):
+    return backend_of(proxy)
+
+
+def flood(sim, proxy, count):
     for _ in range(count):
-        sim.spawn(backend.handle())
+        start(sim, proxy)
 
 
 class TestConfig:
@@ -34,16 +39,16 @@ class TestConfig:
 
 
 class TestScaling:
-    def test_desired_replicas_tracks_utilization(self, sim, backend):
+    def test_desired_replicas_tracks_utilization(self, sim, proxy, backend):
         autoscaler = Autoscaler(backend, AutoscalerConfig(
             target_utilization=0.5, max_replicas=10))
         # 2 replicas x capacity 4 = 8 slots; flood 8 -> utilization 1.0
         # -> desired = ceil(2 * 1.0 / 0.5) = 4.
-        flood(sim, backend, 8)
+        flood(sim, proxy, 8)
         sim.run(until=0.1)
         assert autoscaler.desired_replicas() == 4
 
-    def test_scale_up_after_delay(self, sim, backend):
+    def test_scale_up_after_delay(self, sim, proxy, backend):
         config = AutoscalerConfig(
             target_utilization=0.5, interval_s=5.0, scale_up_delay_s=10.0,
             max_replicas=10)
@@ -52,7 +57,7 @@ class TestScaling:
 
         def keep_loaded(sim):
             while sim.now < 30.0:
-                flood(sim, backend, 8)
+                flood(sim, proxy, 8)
                 yield sim.timeout(1.0)
 
         sim.spawn(keep_loaded(sim))
@@ -63,7 +68,7 @@ class TestScaling:
         loop.interrupt()
         sim.run()
 
-    def test_never_exceeds_max(self, sim, backend):
+    def test_never_exceeds_max(self, sim, proxy, backend):
         config = AutoscalerConfig(
             target_utilization=0.1, interval_s=2.0, scale_up_delay_s=0.5,
             max_replicas=3)
@@ -72,7 +77,7 @@ class TestScaling:
 
         def keep_loaded(sim):
             while sim.now < 20.0:
-                flood(sim, backend, 20)
+                flood(sim, proxy, 20)
                 yield sim.timeout(0.5)
 
         sim.spawn(keep_loaded(sim))
@@ -81,7 +86,7 @@ class TestScaling:
         loop.interrupt()
         sim.run()
 
-    def test_scale_down_respects_cooldown_and_min(self, sim, backend):
+    def test_scale_down_respects_cooldown_and_min(self, sim, proxy, backend):
         config = AutoscalerConfig(
             target_utilization=0.5, interval_s=5.0,
             scale_down_cooldown_s=30.0, min_replicas=1)
@@ -97,11 +102,11 @@ class TestScaling:
         loop.interrupt()
         sim.run()
 
-    def test_scale_events_recorded(self, sim, backend):
+    def test_scale_events_recorded(self, sim, proxy, backend):
         config = AutoscalerConfig(
             target_utilization=0.5, interval_s=5.0, scale_up_delay_s=1.0)
         autoscaler = Autoscaler(backend, config)
-        flood(sim, backend, 8)
+        flood(sim, proxy, 8)
         sim.run(until=0.1)  # let the flood occupy the replicas
         autoscaler.step(sim)
         sim.run(until=2.0)

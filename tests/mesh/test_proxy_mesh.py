@@ -10,6 +10,7 @@ from repro.mesh.network import WanLink
 from repro.telemetry.scraper import Scraper
 from repro.telemetry.timeseries import TimeSeriesStore
 from repro.workloads.profiles import constant_backend_profile
+from tests.mesh._drive import drive
 
 CLUSTERS = ["cluster-1", "cluster-2", "cluster-3"]
 
@@ -60,9 +61,7 @@ class TestDispatch:
     def test_local_request_latency_has_no_wan(self, sim, mesh):
         balancer = StaticWeightBalancer({"api/cluster-1": 1.0})
         proxy = mesh.client_proxy("cluster-1", "api", balancer)
-        process = sim.spawn(proxy.dispatch())
-        sim.run()
-        record = process.value
+        record = drive(sim, proxy)
         assert record.success
         assert record.backend == "api/cluster-1"
         # ~10 ms service + sub-ms local links and proxy overhead.
@@ -71,9 +70,7 @@ class TestDispatch:
     def test_remote_request_pays_wan_round_trip(self, sim, mesh):
         balancer = StaticWeightBalancer({"api/cluster-2": 1.0})
         proxy = mesh.client_proxy("cluster-1", "api", balancer)
-        process = sim.spawn(proxy.dispatch())
-        sim.run()
-        record = process.value
+        record = drive(sim, proxy)
         # 10 ms service + 2 x 10 ms WAN.
         assert record.latency_s == pytest.approx(0.030, abs=0.005)
 
@@ -81,9 +78,7 @@ class TestDispatch:
         balancer = StaticWeightBalancer({"api/cluster-1": 1.0})
         proxy = mesh.client_proxy("cluster-1", "api", balancer)
         sim.run(until=5.0)
-        process = sim.spawn(proxy.dispatch(intended_start_s=3.0))
-        sim.run()
-        record = process.value
+        record = drive(sim, proxy, intended_start_s=3.0)
         assert record.intended_start_s == 3.0
         assert record.latency_s == pytest.approx(
             record.end_s - 3.0)
@@ -92,18 +87,15 @@ class TestDispatch:
     def test_unknown_backend_pick_raises(self, sim, mesh):
         balancer = StaticWeightBalancer({"api/mars": 1.0})
         proxy = mesh.client_proxy("cluster-1", "api", balancer)
-        process = sim.spawn(proxy.dispatch())
-        process.defused = True
-        sim.run()
-        assert not process.ok
+        with pytest.raises(MeshError, match="unknown backend"):
+            drive(sim, proxy)
 
     def test_telemetry_recorded_per_backend(self, sim, mesh):
         balancer = RoundRobinBalancer(
             ["api/cluster-1", "api/cluster-2", "api/cluster-3"])
         proxy = mesh.client_proxy("cluster-1", "api", balancer)
         for _ in range(6):
-            process = sim.spawn(proxy.dispatch())
-            sim.run()
+            drive(sim, proxy)
         for name, telemetry in proxy.telemetry.items():
             assert telemetry.requests_total.value == 2, name
             assert telemetry.inflight.value == 0
@@ -113,9 +105,7 @@ class TestDispatch:
         proxy = mesh.client_proxy("cluster-1", "api", balancer)
         ids = []
         for _ in range(3):
-            process = sim.spawn(proxy.dispatch())
-            sim.run()
-            ids.append(process.value.request_id)
+            ids.append(drive(sim, proxy).request_id)
         assert ids == [0, 1, 2]
 
 

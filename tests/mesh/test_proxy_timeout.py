@@ -9,6 +9,7 @@ from repro.mesh.ejection import OutlierEjectionConfig
 from repro.mesh.mesh import ServiceMesh
 from repro.mesh.network import WanLink
 from repro.workloads.profiles import constant_backend_profile
+from tests.mesh._drive import drive, start
 
 CLUSTERS = ["cluster-1", "cluster-2", "cluster-3"]
 
@@ -36,29 +37,27 @@ class TestReplicaDownModes:
         backend = mesh.deployment("api").backend_in("cluster-1")
         backend.crash("fail_fast")
         proxy = mesh.client_proxy("cluster-1", "api", to_cluster_1())
-        process = sim.spawn(proxy.dispatch())
-        sim.run()
-        record = process.value
+        record = drive(sim, proxy)
         assert record.success is False
         assert record.latency_s < 1.0  # the profile's failure latency
 
     def test_blackhole_crash_hangs_without_deadline(self, sim, mesh):
         mesh.deployment("api").backend_in("cluster-1").crash("blackhole")
         proxy = mesh.client_proxy("cluster-1", "api", to_cluster_1())
-        process = sim.spawn(proxy.dispatch())
+        done = start(sim, proxy)
         sim.run(until=60.0)
-        assert process.is_alive  # parked forever: nothing ever answers
+        assert not done  # parked forever: nothing ever answers
 
     def test_restart_releases_blackholed_requests(self, sim, mesh):
         backend = mesh.deployment("api").backend_in("cluster-1")
         backend.crash("blackhole")
         proxy = mesh.client_proxy("cluster-1", "api", to_cluster_1())
-        process = sim.spawn(proxy.dispatch())
+        done = start(sim, proxy)
         sim.run(until=5.0)
-        assert process.is_alive
+        assert not done
         backend.restart()
         sim.run()
-        record = process.value
+        (record,) = done
         # The hung request completes as a failure, not a success.
         assert record.success is False
         assert record.end_s >= 5.0
@@ -73,9 +72,8 @@ class TestReplicaDownModes:
         backend.replicas[0].crash("fail_fast")
         proxy = mesh.client_proxy("cluster-1", "api", to_cluster_1())
         for _ in range(4):
-            process = sim.spawn(proxy.dispatch())
-            sim.run()
-            assert process.value.success is True  # replica 1 serves all
+            # replica 1 serves all
+            assert drive(sim, proxy).success is True
 
 
 class TestRequestDeadline:
@@ -88,9 +86,7 @@ class TestRequestDeadline:
         mesh.deployment("api").backend_in("cluster-1").crash("blackhole")
         proxy = mesh.client_proxy("cluster-1", "api", to_cluster_1(),
                                   request_timeout_s=0.5)
-        process = sim.spawn(proxy.dispatch())
-        sim.run()
-        record = process.value
+        record = drive(sim, proxy)
         assert record.success is False
         assert record.latency_s == pytest.approx(0.5, abs=0.01)
         assert proxy.timeouts == 1
@@ -99,8 +95,7 @@ class TestRequestDeadline:
         mesh.deployment("api").backend_in("cluster-1").crash("blackhole")
         proxy = mesh.client_proxy("cluster-1", "api", to_cluster_1(),
                                   request_timeout_s=0.5)
-        sim.spawn(proxy.dispatch())
-        sim.run()
+        drive(sim, proxy)
         telemetry = proxy.telemetry["api/cluster-1"]
         assert telemetry.requests_total.value == 1
         assert telemetry.failures_total.value == 1
@@ -111,9 +106,7 @@ class TestRequestDeadline:
     def test_fast_request_unaffected_by_deadline(self, sim, mesh):
         proxy = mesh.client_proxy("cluster-1", "api", to_cluster_1(),
                                   request_timeout_s=5.0)
-        process = sim.spawn(proxy.dispatch())
-        sim.run()
-        assert process.value.success is True
+        assert drive(sim, proxy).success is True
         assert proxy.timeouts == 0
 
     def test_partitioned_link_fails_at_deadline(self, sim, mesh):
@@ -122,25 +115,24 @@ class TestRequestDeadline:
             "cluster-1", "api",
             StaticWeightBalancer({"api/cluster-2": 1.0}),
             request_timeout_s=0.5)
-        process = sim.spawn(proxy.dispatch())
-        sim.run()
-        record = process.value
+        record = drive(sim, proxy)
         assert record.success is False
         assert record.latency_s == pytest.approx(0.5, abs=0.01)
 
     def test_abandoned_call_does_not_abort_the_run(self, sim, mesh):
         # The replica answers (a failure) *after* the deadline: the
-        # abandoned subprocess must not trip the simulator's unhandled
-        # failure check.
+        # abandoned flight must report to nobody.
         backend = mesh.deployment("api").backend_in("cluster-1")
         backend.crash("blackhole")
         proxy = mesh.client_proxy("cluster-1", "api", to_cluster_1(),
                                   request_timeout_s=0.5)
-        process = sim.spawn(proxy.dispatch())
+        done = start(sim, proxy)
         sim.run(until=2.0)
-        assert process.value.success is False
+        assert done[0].success is False
         backend.restart()  # releases the blackholed forward as a failure
         sim.run()  # must not raise
+        assert len(done) == 1
+        assert proxy.telemetry["api/cluster-1"].failures_total.value == 1
 
 
 class TestDeadlineWithRetries:
@@ -148,9 +140,7 @@ class TestDeadlineWithRetries:
         mesh.deployment("api").backend_in("cluster-1").crash("blackhole")
         proxy = mesh.client_proxy("cluster-1", "api", to_cluster_1(),
                                   max_retries=2, request_timeout_s=0.5)
-        process = sim.spawn(proxy.dispatch())
-        sim.run()
-        record = process.value
+        record = drive(sim, proxy)
         assert record.success is False
         assert record.attempts == 3
         assert proxy.timeouts == 3
@@ -168,9 +158,7 @@ class TestProxyEjection:
                                                    ejection_s=30.0))
         outcomes = []
         for _ in range(12):
-            process = sim.spawn(proxy.dispatch())
-            sim.run()
-            outcomes.append(process.value)
+            outcomes.append(drive(sim, proxy))
         assert proxy.ejector.ejections >= 1
         # After the breaker trips, traffic avoids the dead backend.
         later = outcomes[6:]
@@ -184,11 +172,10 @@ class TestProxyEjection:
             outlier_ejection=OutlierEjectionConfig(consecutive_failures=1,
                                                    ejection_s=60.0))
         for _ in range(4):
-            process = sim.spawn(proxy.dispatch())
-            sim.run()
+            record = drive(sim, proxy)
         # Only ejected backends available: requests still go out (and
         # fail) instead of erroring or hanging in the pick loop.
-        assert process.value.success is False
+        assert record.success is False
         assert proxy.ejector.ejections >= 1
 
     def test_ejection_off_by_default(self, mesh):

@@ -8,6 +8,7 @@ from repro.errors import MeshError
 from repro.mesh.mesh import ServiceMesh
 from repro.mesh.network import WanLink
 from repro.workloads.profiles import constant_backend_profile
+from tests.mesh._drive import drive
 
 CLUSTERS = ["cluster-1", "cluster-2"]
 
@@ -51,9 +52,7 @@ class TestRetries:
         proxy = mesh.client_proxy(
             "cluster-1", "api",
             StaticWeightBalancer({"api/cluster-1": 1.0}))
-        process = sim.spawn(proxy.dispatch())
-        sim.run()
-        record = process.value
+        record = drive(sim, proxy)
         assert not record.success
         assert record.attempts == 1
 
@@ -64,9 +63,7 @@ class TestRetries:
             "cluster-1", "api",
             RoundRobinBalancer(["api/cluster-1", "api/cluster-2"]),
             max_retries=1)
-        process = sim.spawn(proxy.dispatch())
-        sim.run()
-        record = process.value
+        record = drive(sim, proxy)
         assert record.success
         assert record.attempts == 2
         assert record.backend == "api/cluster-2"
@@ -76,9 +73,7 @@ class TestRetries:
             "cluster-1", "api",
             StaticWeightBalancer({"api/cluster-1": 1.0}),
             max_retries=3)
-        process = sim.spawn(proxy.dispatch())
-        sim.run()
-        record = process.value
+        record = drive(sim, proxy)
         assert not record.success
         assert record.attempts == 4  # 1 try + 3 retries
 
@@ -87,8 +82,7 @@ class TestRetries:
             "cluster-1", "api",
             StaticWeightBalancer({"api/cluster-1": 1.0}),
             max_retries=2)
-        process = sim.spawn(proxy.dispatch())
-        sim.run()
+        drive(sim, proxy)
         telemetry = proxy.telemetry["api/cluster-1"]
         assert telemetry.requests_total.value == 3
         assert telemetry.failures_total.value == 3
@@ -98,9 +92,7 @@ class TestRetries:
             "cluster-1", "api",
             StaticWeightBalancer({"api/cluster-1": 1.0}),
             max_retries=2, retry_backoff_s=1.0)
-        process = sim.spawn(proxy.dispatch())
-        sim.run()
-        record = process.value
+        record = drive(sim, proxy)
         # Three attempts (~0.06 s of work each) plus two 1 s backoffs.
         assert record.latency_s > 2.0
 
@@ -109,9 +101,7 @@ class TestRetries:
             "cluster-1", "api",
             RoundRobinBalancer(["api/cluster-1", "api/cluster-2"]),
             max_retries=1)
-        process = sim.spawn(proxy.dispatch())
-        sim.run()
-        record = process.value
+        record = drive(sim, proxy)
         # Two attempts, each ~10 ms service + 20 ms WAN RTT + overheads.
         assert record.latency_s > 0.055
 

@@ -11,6 +11,7 @@ from repro.sim.resources import Server
 from repro.telemetry.histogram import LatencyHistogram
 from repro.telemetry.timeseries import SampleSeries
 from repro.workloads.profiles import PiecewiseSeries
+from tests.sim._slot import slot
 
 latencies = st.floats(min_value=0.0, max_value=120.0)
 
@@ -125,7 +126,7 @@ class TestServerProperties:
         peak = {"value": 0}
 
         def job(sim, hold):
-            yield server.acquire()
+            yield slot(sim, server)
             try:
                 peak["value"] = max(peak["value"], server.in_use)
                 yield sim.timeout(hold)

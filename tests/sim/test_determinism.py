@@ -3,6 +3,7 @@
 from repro.sim.engine import Simulator
 from repro.sim.resources import Server
 from repro.sim.rng import RngRegistry
+from tests.sim._slot import slot
 
 
 def chaotic_workload(seed):
@@ -15,7 +16,7 @@ def chaotic_workload(seed):
 
     def job(sim, i):
         yield sim.timeout(rng.random() * 2.0)
-        yield server.acquire()
+        yield slot(sim, server)
         try:
             yield sim.timeout(rng.random() * 0.5)
             log.append((round(sim.now, 9), i))

@@ -1,4 +1,4 @@
-"""Tests for event primitives: Event, Timeout, AllOf, AnyOf."""
+"""Tests for event primitives: Event, Timeout."""
 
 import pytest
 
@@ -88,46 +88,3 @@ class TestTimeout:
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.timeout(-0.1)
-
-
-class TestConditions:
-    def test_all_of_waits_for_every_event(self, sim):
-        t1 = sim.timeout(1.0, "a")
-        t2 = sim.timeout(3.0, "b")
-        done = []
-        sim.all_of([t1, t2]).add_callback(
-            lambda e: done.append((sim.now, sorted(e.value.values()))))
-        sim.run()
-        assert done == [(3.0, ["a", "b"])]
-
-    def test_any_of_fires_on_first(self, sim):
-        t1 = sim.timeout(1.0, "fast")
-        t2 = sim.timeout(3.0, "slow")
-        done = []
-        sim.any_of([t1, t2]).add_callback(
-            lambda e: done.append((sim.now, list(e.value.values()))))
-        sim.run()
-        assert done == [(1.0, ["fast"])]
-
-    def test_empty_all_of_fires_immediately(self, sim):
-        condition = sim.all_of([])
-        assert condition.triggered
-
-    def test_all_of_propagates_failure(self, sim):
-        bad = sim.event()
-        bad.fail(RuntimeError("child failed"))
-        condition = sim.all_of([bad, sim.timeout(1.0)])
-        condition.defused = True
-        sim.run()
-        assert not condition.ok
-
-    def test_process_waiting_on_all_of(self, sim):
-        def fan_out(sim):
-            timeouts = [sim.timeout(i, i) for i in (1.0, 2.0, 3.0)]
-            values = yield sim.all_of(timeouts)
-            return sorted(values.values())
-
-        process = sim.spawn(fan_out(sim))
-        sim.run()
-        assert process.value == [1.0, 2.0, 3.0]
-        assert sim.now == 3.0

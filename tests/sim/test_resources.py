@@ -1,13 +1,14 @@
-"""Tests for Server and Store resources."""
+"""Tests for the Server resource."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.resources import Server, Store
+from repro.sim.resources import Server
+from tests.sim._slot import slot
 
 
 def occupy(sim, server, hold, log, tag):
-    yield server.acquire()
+    yield slot(sim, server)
     try:
         yield sim.timeout(hold)
         log.append((sim.now, tag))
@@ -59,59 +60,3 @@ class TestServer:
         sim.spawn(occupy(sim, server, 1.0, log, "second"))
         sim.run()
         assert log == [(2.0, "first"), (3.0, "second")]
-
-    def test_cancel_removes_queued_acquisition(self, sim):
-        server = Server(sim, 1)
-        sim.spawn(occupy(sim, server, 5.0, [], "holder"))
-        sim.run(until=0.1)
-        queued = server.acquire()
-        assert server.queue_len == 1
-        assert server.cancel(queued)
-        assert server.queue_len == 0
-
-    def test_cancel_unknown_event_returns_false(self, sim):
-        server = Server(sim, 1)
-        assert not server.cancel(sim.event())
-
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("item")
-        got = []
-        store.get().add_callback(lambda e: got.append(e.value))
-        sim.run()
-        assert got == ["item"]
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        got = []
-
-        def consumer(sim):
-            value = yield store.get()
-            got.append((sim.now, value))
-
-        sim.spawn(consumer(sim))
-        sim.call_after(2.0, store.put, "late")
-        sim.run()
-        assert got == [(2.0, "late")]
-
-    def test_fifo_ordering(self, sim):
-        store = Store(sim)
-        for item in ("a", "b", "c"):
-            store.put(item)
-        got = []
-
-        def consumer(sim):
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        sim.spawn(consumer(sim))
-        sim.run()
-        assert got == ["a", "b", "c"]
-
-    def test_len_tracks_backlog(self, sim):
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bench.coordinator import ENGINE_NAMES
 from repro.cli import main
 
 
@@ -37,11 +36,10 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "--scenario", "scenario-42"])
 
-    def test_engine_choices_are_fast_and_process(self, capsys):
-        assert ENGINE_NAMES == ("fast", "process")
+    def test_there_is_no_engine_flag(self, capsys):
         with pytest.raises(SystemExit):
-            main(["run", "--engine", "vector"])
-        assert "'fast', 'process'" in capsys.readouterr().err
+            main(["run", "--engine", "fast"])
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
 
 class TestRunWithFaults:

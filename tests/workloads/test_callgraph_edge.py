@@ -17,6 +17,7 @@ from repro.workloads.profiles import (
     BackendProfile,
     constant_series,
 )
+from tests.mesh._drive import drive
 
 CLUSTERS = ["cluster-1", "cluster-2"]
 
@@ -72,27 +73,24 @@ class TestFailurePropagation:
         app = self.deploy_with_broken(sim, rng_registry, stages=(
             ParallelCalls(("broken",)),
         ))
-        process = sim.spawn(app.dispatch())
-        sim.run()
-        assert process.value.success is False
+        record = drive(sim, app)
+        assert record.success is False
 
     def test_one_failed_parallel_branch_fails_the_request(self, sim,
                                                           rng_registry):
         app = self.deploy_with_broken(sim, rng_registry, stages=(
             ParallelCalls(("healthy", "broken")),
         ))
-        process = sim.spawn(app.dispatch())
-        sim.run()
-        assert process.value.success is False
+        record = drive(sim, app)
+        assert record.success is False
 
     def test_healthy_branches_alone_succeed(self, sim, rng_registry):
         app = self.deploy_with_broken(sim, rng_registry, stages=(
             ParallelCalls(("healthy",)),
             ParallelCalls(("healthy",)),
         ))
-        process = sim.spawn(app.dispatch())
-        sim.run()
-        assert process.value.success is True
+        record = drive(sim, app)
+        assert record.success is True
 
 
 class TestFanOut:
@@ -103,9 +101,7 @@ class TestFanOut:
             specs[child] = ServiceSpec(child, 0.005, 0.005)
         _mesh, app = make_app(
             sim, rng_registry, specs, stages=(ParallelCalls(children),))
-        process = sim.spawn(app.dispatch())
-        sim.run()
-        record = process.value
+        record = drive(sim, app)
         assert record.success
         # All eight children in parallel: latency ~ one child + hops,
         # nowhere near 8 x 5 ms serial.
@@ -118,10 +114,9 @@ class TestFanOut:
         for i in range(6):
             specs[f"step-{i}"] = ServiceSpec(f"step-{i}", 0.002, 0.002)
         _mesh, app = make_app(sim, rng_registry, specs, stages=stages)
-        process = sim.spawn(app.dispatch())
-        sim.run()
-        assert process.value.success
-        assert process.value.latency_s >= 6 * 0.002
+        record = drive(sim, app)
+        assert record.success
+        assert record.latency_s >= 6 * 0.002
 
 
 class TestLifecycle:
@@ -141,10 +136,9 @@ class TestLifecycle:
     def test_endpoint_without_stages_is_pure_root(self, sim, rng_registry):
         specs = {"root": ServiceSpec("root", 0.003, 0.003)}
         _mesh, app = make_app(sim, rng_registry, specs, stages=())
-        process = sim.spawn(app.dispatch())
-        sim.run()
-        assert process.value.success
-        assert process.value.latency_s < 0.010
+        record = drive(sim, app)
+        assert record.success
+        assert record.latency_s < 0.010
 
     def test_needs_endpoints(self, sim, rng_registry):
         mesh = ServiceMesh(sim, rng_registry, clusters=CLUSTERS,

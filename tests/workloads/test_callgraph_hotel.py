@@ -5,7 +5,7 @@ import collections
 import pytest
 
 from repro.balancers.round_robin import RoundRobinBalancer
-from repro.errors import ConfigError
+from repro.errors import ConfigError, MeshError
 from repro.mesh.mesh import ServiceMesh
 from repro.mesh.network import WanLink
 from repro.workloads.callgraph import (
@@ -21,6 +21,8 @@ from repro.workloads.hotel import (
     hotel_endpoints,
     hotel_service_specs,
 )
+
+from tests.mesh._drive import drive
 
 CLUSTERS = ["cluster-1", "cluster-2", "cluster-3"]
 
@@ -79,9 +81,7 @@ class TestCallGraphExecution:
             ParallelCalls(("child-a",)),
             ParallelCalls(("child-b",)),
         ))
-        process = sim.spawn(app.dispatch())
-        sim.run()
-        record = process.value
+        record = drive(sim, app)
         assert record.success
         # root 1ms + two sequential child calls (2 + 3 ms, + network).
         assert record.latency_s >= 0.006
@@ -90,18 +90,16 @@ class TestCallGraphExecution:
         app = self.make_app(sim, mesh, rng_registry, stages=(
             ParallelCalls(("child-a", "child-b")),
         ))
-        process = sim.spawn(app.dispatch())
-        sim.run()
+        record = drive(sim, app)
         sequential_estimate = 0.001 + 0.002 + 0.003
         # Parallel: root + max(children) + hops, well under sequential+hops.
-        assert process.value.latency_s < sequential_estimate + 0.045
+        assert record.latency_s < sequential_estimate + 0.045
 
     def test_cache_hit_skips_db(self, sim, mesh, rng_registry):
         app = self.make_app(sim, mesh, rng_registry, stages=(
             CachedRead("cache", "db", hit_prob=1.0),
         ))
-        process = sim.spawn(app.dispatch())
-        sim.run()
+        drive(sim, app)
         db_backend = mesh.deployment("db").backend_in("cluster-1")
         assert sum(r.completed for r in db_backend.replicas) == 0
 
@@ -109,8 +107,7 @@ class TestCallGraphExecution:
         app = self.make_app(sim, mesh, rng_registry, stages=(
             CachedRead("cache", "db", hit_prob=0.0),
         ))
-        process = sim.spawn(app.dispatch())
-        sim.run()
+        drive(sim, app)
         total_db = sum(
             sum(r.completed for r in
                 mesh.deployment("db").backend_in(c).replicas)
@@ -123,8 +120,7 @@ class TestCallGraphExecution:
             CachedRead("cache", "db", hit_prob=0.0),
         ))
         for _ in range(12):
-            process = sim.spawn(app.dispatch())
-            sim.run()
+            drive(sim, app)
         # The root is pinned to cluster-1; children (none here) vary. The
         # db call happens in the root's cluster == cluster-1 only.
         for cluster in ("cluster-2", "cluster-3"):
@@ -140,10 +136,8 @@ class TestCallGraphExecution:
             root_service="root", client_cluster="cluster-1",
             balancer_factory=rr_factory(mesh),
             rng=rng_registry.stream("app"))
-        process = sim.spawn(app.dispatch())
-        process.defused = True
-        sim.run()
-        assert not process.ok
+        with pytest.raises(MeshError, match="undeclared service 'ghost'"):
+            drive(sim, app)
 
 
 class TestHotelApplication:
@@ -169,9 +163,7 @@ class TestHotelApplication:
             mesh, "cluster-1", rr_factory(mesh),
             rng_registry.stream("hotel"))
         app.prewire()
-        process = sim.spawn(app.dispatch())
-        sim.run()
-        record = process.value
+        record = drive(sim, app)
         assert record.success
         assert record.service == "frontend"
         assert 0.001 < record.latency_s < 1.0

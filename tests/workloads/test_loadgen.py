@@ -16,17 +16,18 @@ class SlowTarget:
         self.response_time_s = response_time_s
         self.dispatched = 0
 
-    def dispatch(self, intended_start_s=None):
+    def dispatch(self, intended_start_s, done):
         self.dispatched += 1
-        start = self.sim.now
-        if intended_start_s is None:
-            intended_start_s = start
-        yield self.sim.timeout(self.response_time_s)
-        return RequestRecord(
-            request_id=self.dispatched, service="svc",
+        self.sim.call_after(
+            self.response_time_s, self._respond, self.dispatched,
+            intended_start_s, self.sim.now, done)
+
+    def _respond(self, request_id, intended_start_s, start, done):
+        done(RequestRecord(
+            request_id=request_id, service="svc",
             source_cluster="c1", backend="svc/c1",
             intended_start_s=intended_start_s, start_s=start,
-            end_s=self.sim.now, success=True)
+            end_s=self.sim.now, success=True))
 
 
 class TestValidation:
@@ -43,7 +44,7 @@ class TestValidation:
         generator = OpenLoopLoadGenerator(
             SlowTarget(sim, 0.01), 10.0, rng, [])
         with pytest.raises(ConfigError):
-            next(generator.run(sim, 0.0))
+            generator.start(sim, 0.0)
 
 
 class TestUniformArrivals:
@@ -52,7 +53,7 @@ class TestUniformArrivals:
         target = SlowTarget(sim, 0.001)
         generator = OpenLoopLoadGenerator(
             target, 10.0, rng, records, arrival="uniform")
-        sim.spawn(generator.run(sim, 2.0))
+        generator.start(sim, 2.0)
         sim.run()
         # 10 RPS for 2 s -> 19 requests (the one at t=2.0 is excluded).
         assert generator.generated == 19
@@ -65,7 +66,7 @@ class TestUniformArrivals:
         target = SlowTarget(sim, 10.0)  # responses far slower than gaps
         generator = OpenLoopLoadGenerator(
             target, 10.0, rng, records, arrival="uniform")
-        sim.spawn(generator.run(sim, 1.0))
+        generator.start(sim, 1.0)
         sim.run(until=1.0)
         # The schedule kept pace (10 RPS x 1 s, +/-1 for FP edge effects).
         assert generator.generated in (9, 10)
@@ -77,7 +78,7 @@ class TestUniformArrivals:
         records = []
         generator = OpenLoopLoadGenerator(
             SlowTarget(sim, 0.5), 10.0, rng, records, arrival="uniform")
-        sim.spawn(generator.run(sim, 0.5))
+        generator.start(sim, 0.5)
         sim.run()
         for record in records:
             assert record.latency_s == pytest.approx(0.5)
@@ -89,7 +90,7 @@ class TestPoissonArrivals:
         records = []
         generator = OpenLoopLoadGenerator(
             SlowTarget(sim, 0.0001), 100.0, rng, records, arrival="poisson")
-        sim.spawn(generator.run(sim, 30.0))
+        generator.start(sim, 30.0)
         sim.run()
         rate = generator.generated / 30.0
         assert 85.0 < rate < 115.0
@@ -98,7 +99,7 @@ class TestPoissonArrivals:
         records = []
         generator = OpenLoopLoadGenerator(
             SlowTarget(sim, 0.0001), 50.0, rng, records, arrival="poisson")
-        sim.spawn(generator.run(sim, 5.0))
+        generator.start(sim, 5.0)
         sim.run()
         starts = sorted(r.start_s for r in records)
         gaps = {round(b - a, 6) for a, b in zip(starts, starts[1:])}
@@ -112,7 +113,7 @@ class TestTimeVaryingRate:
                                (20.0, 100.0)])
         generator = OpenLoopLoadGenerator(
             SlowTarget(sim, 0.0001), rps, rng, records, arrival="uniform")
-        sim.spawn(generator.run(sim, 20.0))
+        generator.start(sim, 20.0)
         sim.run()
         early = sum(1 for r in records if r.start_s < 10.0)
         late = sum(1 for r in records if r.start_s >= 10.0)

@@ -12,6 +12,8 @@ from repro.workloads.social import (
     social_service_specs,
 )
 
+from tests.mesh._drive import drive
+
 ENV = ScenarioBenchConfig(warmup_s=10.0, drain_s=10.0)
 CLUSTERS = ["cluster-1", "cluster-2", "cluster-3"]
 
@@ -52,9 +54,7 @@ class TestExecution:
             lambda service, names, src: RoundRobinBalancer(names),
             rng_registry.stream("social"))
         app.prewire()
-        process = sim.spawn(app.dispatch())
-        sim.run()
-        record = process.value
+        record = drive(sim, app)
         assert record.success
         assert record.service == "nginx"
 
@@ -71,10 +71,11 @@ class TestExecution:
         # Force the compose endpoint.
         compose = next(e for e in app.endpoints
                        if e.name == "compose-post")
-        process = sim.spawn(app._call(
-            "nginx", "cluster-1", stages_override=compose.stages))
+        done = []
+        app._call("nginx", "cluster-1", sim.now, done.append,
+                  stages=compose.stages)
         sim.run()
-        assert process.value.success
+        assert done[0].success
         total_writes = sum(
             sum(r.completed for r in
                 mesh.deployment("redis-home-timeline").backend_in(c).replicas)
