@@ -129,20 +129,3 @@ def test_simulator_event_throughput(benchmark):
 
     fired = benchmark(run_events)
     assert fired == 10_000
-
-
-def test_simulator_process_throughput(benchmark):
-    def run_processes():
-        sim = Simulator()
-
-        def worker(sim):
-            for _ in range(100):
-                yield sim.timeout(0.01)
-
-        for _ in range(100):
-            sim.spawn(worker(sim))
-        sim.run()
-        return sim.now
-
-    final = benchmark(run_processes)
-    assert final > 0

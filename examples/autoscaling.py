@@ -13,7 +13,7 @@ Run with::
     python examples/autoscaling.py
 """
 
-from repro.autoscale.hpa import Autoscaler, AutoscalerConfig
+from repro.autoscale import AutoscalePolicy, SimAutoscaleSet
 from repro.balancers.l3 import L3Balancer
 from repro.core.config import L3Config
 from repro.mesh.mesh import ServiceMesh
@@ -54,17 +54,17 @@ def main() -> None:
     proxy = mesh.client_proxy("cluster-1", "api", balancer)
     mesh.register_all_telemetry(scraper)
 
-    autoscalers = []
-    for cluster in CLUSTERS:
-        autoscaler = Autoscaler(
-            deployment.backend_in(cluster),
-            AutoscalerConfig(target_utilization=0.5, interval_s=10.0,
-                             scale_up_delay_s=20.0, max_replicas=8))
-        autoscalers.append(autoscaler)
-        sim.spawn(autoscaler.run(sim), name=f"hpa/{cluster}")
+    # One scaler per cluster, reading the scraped server-side in-flight
+    # gauge: hold utilization at 50 %, 20 s from decision to serving.
+    policy = AutoscalePolicy(metric="inflight", target=0.5, interval_s=10.0,
+                             provisioning_lag_s=20.0, max_replicas=8)
+    autoscalers = SimAutoscaleSet(
+        deployment, {cluster: policy for cluster in CLUSTERS}, source,
+        scraper, controller=balancer.controller)
 
-    sim.spawn(scraper.run(sim), name="scraper")
+    scrape_loop = sim.every(scraper.interval_s, scraper.tick)
     balancer.start(sim)
+    autoscalers.start(sim)
 
     # 200 RPS for a minute, then a step to 800 RPS.
     rps = PiecewiseSeries(
@@ -74,6 +74,8 @@ def main() -> None:
     loadgen.start(sim, 240.0)
     sim.run(until=270.0)
     balancer.stop()
+    autoscalers.stop(270.0)
+    scrape_loop.cancel()
     sim.run(until=280.0)
 
     def window_p99(start, end):
@@ -85,10 +87,10 @@ def main() -> None:
     print(f"P99 before surge   (t 20-60s):   {window_p99(20, 60):7.1f} ms")
     print(f"P99 during surge   (t 61-100s):  {window_p99(61, 100):7.1f} ms")
     print(f"P99 after scale-up (t 150-240s): {window_p99(150, 240):7.1f} ms")
-    for autoscaler in autoscalers:
-        ups = sum(1 for _t, d in autoscaler.scale_events if d > 0)
-        print(f"{autoscaler.backend.name}: scaled up {ups} times, now "
-              f"{autoscaler.replica_count} replicas")
+    for scaler in autoscalers.scalers.values():
+        ups = sum(1 for _t, delta, _after in scaler.events if delta > 0)
+        print(f"{scaler.backend_name}: scaled up {ups} times, now "
+              f"{scaler.replica_count} replicas")
 
 
 if __name__ == "__main__":

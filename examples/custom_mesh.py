@@ -75,7 +75,7 @@ def main() -> None:
     proxy = mesh.client_proxy("eu-central", "api", balancer)
     mesh.register_all_telemetry(scraper)
 
-    sim.spawn(scraper.run(sim), name="scraper")
+    sim.every(scraper.interval_s, scraper.tick)
     balancer.start(sim)
 
     records = []

@@ -18,15 +18,13 @@ substrates: simulated benchmarks (:class:`SimAutoscaleSet`), the live
 socket testbed (:mod:`repro.autoscale.live`), and plain unit tests.
 Policies come from :class:`AutoscalePolicy` or the CLI ``--autoscale``
 spec grammar (:func:`parse_autoscale_spec`). Everything is strictly
-opt-in: with no policy configured, no process, gauge, or RNG draw is
+opt-in: with no policy configured, no loop, gauge, or RNG draw is
 created and simulation digests are byte-identical to autoscale-free
 builds.
 
-The seed's original minimal HPA loop lives on in
-:mod:`repro.autoscale.hpa`; the elasticity benchmark cells
-shared by the figure suite and CI live in :mod:`repro.autoscale.study`
-(kept out of this namespace to avoid importing the bench stack at
-package-import time).
+The elasticity benchmark cells shared by the figure suite and CI live in
+:mod:`repro.autoscale.study` (kept out of this namespace to avoid
+importing the bench stack at package-import time).
 """
 
 from repro.autoscale.controller import BackendAutoscaler

@@ -5,21 +5,22 @@
 cluster of a scenario deployment, exposes the ``replica_count`` gauge
 and ``autoscale_events`` counter to the scraper under each backend's
 ``server|<backend>`` series (the same single-source names the live
-``/metrics`` pages use — :mod:`repro.telemetry.names`), and spawns one
-generator process per scaler so every control loop ticks at its policy's
+``/metrics`` pages use — :mod:`repro.telemetry.names`), and starts one
+``sim.every`` loop per scaler so every control loop ticks at its policy's
 own interval, concurrently with the weight controller's reconcile loop.
 
 Strictly opt-in: a benchmark without autoscaling constructs none of
-this — no processes, no RNG draws, no gauges — so the golden digest of
+this — no loops, no RNG draws, no gauges — so the golden digest of
 autoscale-off runs is byte-identical to pre-autoscale builds.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.autoscale.controller import BackendAutoscaler
 from repro.autoscale.policy import AutoscalePolicy
 from repro.autoscale.targets import SimBackendTarget
-from repro.errors import Interrupted
 from repro.telemetry import names as metric_names
 
 
@@ -53,7 +54,7 @@ class SimAutoscaleSet:
         self.scalers: dict[str, BackendAutoscaler] = {}
         self.controller = controller
         self.weight_samples: list[tuple[float, dict]] = []
-        self._procs: list = []
+        self._loops: list = []
         for cluster in sorted(policies):
             policy = policies[cluster]
             backend = deployment.backend_in(cluster)
@@ -72,29 +73,26 @@ class SimAutoscaleSet:
                 lambda s=scaler: s.events_total)
 
     def start(self, sim) -> None:
-        """Spawn one control-loop process per scaler."""
-        for cluster, scaler in self.scalers.items():
-            self._procs.append(sim.spawn(
-                self._loop(sim, scaler), name=f"autoscaler/{cluster}"))
+        """Start one control loop per scaler (no-op while running)."""
+        if self._loops:
+            return
+        for scaler in self.scalers.values():
+            self._loops.append(sim.every(
+                scaler.policy.interval_s, partial(self._tick, scaler)))
 
     def stop(self, now: float) -> None:
-        """Interrupt every loop and close the cost integrals."""
-        for proc in self._procs:
-            proc.interrupt()
-        self._procs = []
+        """Cancel every loop and close the cost integrals."""
+        for loop in self._loops:
+            loop.cancel()
+        self._loops = []
         for scaler in self.scalers.values():
             scaler.finalize(now)
 
-    def _loop(self, sim, scaler: BackendAutoscaler):
-        try:
-            while True:
-                yield sim.timeout(scaler.policy.interval_s)
-                scaler.step(sim.now)
-                if self.controller is not None:
-                    self.weight_samples.append(
-                        (sim.now, dict(self.controller.last_weights)))
-        except Interrupted:
-            return
+    def _tick(self, scaler: BackendAutoscaler, now: float) -> None:
+        scaler.step(now)
+        if self.controller is not None:
+            self.weight_samples.append(
+                (now, dict(self.controller.last_weights)))
 
     # ------------------------------------------------- result readers -- #
 

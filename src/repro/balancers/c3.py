@@ -160,23 +160,9 @@ class C3Controller:
             return 0.0
         return reader(name, now, self.config.metrics_window_s)
 
-    def run(self, sim):
-        """Generator process: reconcile on the configured interval."""
-        from repro.errors import Interrupted
-
-        try:
-            while True:
-                yield sim.timeout(self.config.reconcile_interval_s)
-                if not self.paused:
-                    self.reconcile(sim.now)
-        except Interrupted:
-            return
-
 
 class C3Balancer(PeriodicSplitBalancer):
     """C3 adaptation driving a TrafficSplit — the paper's comparator."""
-
-    loop_label = "c3"
 
     def __init__(self, sim: Simulator, service: str, backend_names,
                  metrics_source, config: C3Config | None = None,

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.balancers.base import Balancer, validate_backend_pool
-from repro.errors import ConfigError, Interrupted
+from repro.errors import ConfigError
 from repro.sim.engine import Simulator
 
 
@@ -161,20 +161,12 @@ class GradientDescentBalancer(Balancer):
         self.update_count += 1
         return dict(self.shares)
 
-    def _run(self, sim):
-        try:
-            while True:
-                yield sim.timeout(self.config.update_interval_s)
-                self.update(sim.now)
-        except Interrupted:
-            return
-
     def start(self, sim: Simulator) -> None:
-        if self._loop is not None and self._loop.is_alive:
-            return
-        self._loop = sim.spawn(self._run(sim), name="gradient/split")
+        if self._loop is None:
+            self._loop = sim.every(
+                self.config.update_interval_s, self.update)
 
     def stop(self) -> None:
-        if self._loop is not None and self._loop.is_alive:
-            self._loop.interrupt()
-        self._loop = None
+        if self._loop is not None:
+            self._loop.cancel()
+            self._loop = None

@@ -158,8 +158,6 @@ class KnapsackLbController:
 class KnapsackLbBalancer(PeriodicSplitBalancer):
     """KnapsackLB adaptation driving a TrafficSplit."""
 
-    loop_label = "knapsack"
-
     def __init__(self, sim: Simulator, service: str, backend_names,
                  metrics_source, config: KnapsackConfig | None = None,
                  propagation_delay_s: float = 0.5):

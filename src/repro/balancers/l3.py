@@ -18,8 +18,6 @@ from repro.sim.engine import Simulator
 class L3Balancer(PeriodicSplitBalancer):
     """The paper's system: L3 controller driving a TrafficSplit."""
 
-    loop_label = "l3"
-
     def __init__(self, sim: Simulator, service: str, backend_names,
                  metrics_source, config: L3Config | None = None,
                  propagation_delay_s: float = 0.5):

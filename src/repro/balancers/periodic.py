@@ -3,7 +3,7 @@
 L3, C3 and the weight solvers (KnapsackLB, the service-rate model) are
 the same three-piece sandwich: a TrafficSplit the data plane samples, a
 controller with a periodic ``reconcile`` that writes weights into it,
-and a simulator process running the reconcile loop. This module factors
+and a ``sim.every`` loop ticking the reconcile. This module factors
 it once: a controller only has to provide
 ``reconcile(now)``/``pause()``/``resume()`` plus the
 ``last_weights``/``reconcile_count`` introspection fields, and
@@ -14,7 +14,6 @@ loop lifecycle.
 from __future__ import annotations
 
 from repro.balancers.base import Balancer
-from repro.errors import Interrupted
 from repro.mesh.traffic_split import TrafficSplit
 from repro.sim.engine import Simulator
 
@@ -28,9 +27,6 @@ class PeriodicSplitBalancer(Balancer):
     cadence.
     """
 
-    #: short name used for the simulator process label ("knapsack/api").
-    loop_label = "periodic"
-
     def __init__(self, sim: Simulator, service: str, backend_names,
                  make_controller, propagation_delay_s: float = 0.5):
         self.sim = sim
@@ -43,23 +39,16 @@ class PeriodicSplitBalancer(Balancer):
     def pick(self, rng, now: float) -> str:
         return self.split.pick(rng)
 
-    def _run(self, sim):
-        interval = self.controller.config.reconcile_interval_s
-        try:
-            while True:
-                yield sim.timeout(interval)
-                if not self.controller.paused:
-                    self.controller.reconcile(sim.now)
-        except Interrupted:
-            return
+    def _tick(self, now: float) -> None:
+        if not self.controller.paused:
+            self.controller.reconcile(now)
 
     def start(self, sim) -> None:
-        if self._loop is not None and self._loop.is_alive:
-            return
-        self._loop = sim.spawn(
-            self._run(sim), name=f"{self.loop_label}/{self.split.service}")
+        if self._loop is None:
+            self._loop = sim.every(
+                self.controller.config.reconcile_interval_s, self._tick)
 
     def stop(self) -> None:
-        if self._loop is not None and self._loop.is_alive:
-            self._loop.interrupt()
-        self._loop = None
+        if self._loop is not None:
+            self._loop.cancel()
+            self._loop = None

@@ -147,8 +147,6 @@ class ServiceRateController:
 class ServiceRateAwareBalancer(PeriodicSplitBalancer):
     """Workload-dependent service-rate solver driving a TrafficSplit."""
 
-    loop_label = "service-rate"
-
     def __init__(self, sim: Simulator, service: str, backend_names,
                  metrics_source, config: ServiceRateConfig | None = None,
                  propagation_delay_s: float = 0.5):

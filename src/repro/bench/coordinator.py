@@ -201,7 +201,7 @@ def _run_measured(sim, rng, scraper, target, rps, control,
     ``control`` is whatever owns the control loops (``start(sim)`` /
     ``stop()``): a balancer, or a call-graph app with one per hop.
     """
-    scrape_proc = sim.spawn(scraper.run(sim), name="scraper")
+    scrape_loop = sim.every(scraper.interval_s, scraper.tick)
     control.start(sim)
     if autoscale_set is not None:
         autoscale_set.start(sim)
@@ -216,7 +216,7 @@ def _run_measured(sim, rng, scraper, target, rps, control,
     control.stop()
     if autoscale_set is not None:
         autoscale_set.stop(total)
-    scrape_proc.interrupt()
+    scrape_loop.cancel()
     # Let in-flight requests finish so tail samples are not truncated.
     sim.run(until=total + env.drain_s)
     return [r for r in records

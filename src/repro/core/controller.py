@@ -30,7 +30,6 @@ from repro.core.ewma import Ewma, half_life_to_beta
 from repro.core.rate_control import apply_rate_control, relative_change
 from repro.core.state import BackendMetricState
 from repro.core.weighting import compute_weights
-from repro.errors import Interrupted
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,8 +163,6 @@ class L3Controller:
             samples = self.metrics_source.collect(
                 list(self.backends), now, self.config.metrics_window_s,
                 self.config.percentile)
-        except Interrupted:
-            raise
         except Exception as exc:  # noqa: BLE001 - degraded mode by design
             return self._degrade(exc, now)
 
@@ -215,8 +212,6 @@ class L3Controller:
         }
         try:
             self.weight_sink.set_weights(weights, now)
-        except Interrupted:
-            raise
         except Exception as exc:  # noqa: BLE001 - degraded mode by design
             return self._degrade(exc, now)
 
@@ -265,18 +260,3 @@ class L3Controller:
                 state.failure_latency.observe(observed, now)
             penalties[name] = state.failure_latency.value
         return penalties
-
-    def run(self, sim):
-        """Generator process: reconcile every ``reconcile_interval_s``.
-
-        Spawn with ``sim.spawn(controller.run(sim))`` to drive the loop
-        inside a :class:`~repro.sim.engine.Simulator` forever (interrupt to
-        stop). While :attr:`paused`, ticks pass without reconciling.
-        """
-        try:
-            while True:
-                yield sim.timeout(self.config.reconcile_interval_s)
-                if not self.paused:
-                    self.reconcile(sim.now)
-        except Interrupted:
-            return

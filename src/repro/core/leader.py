@@ -15,7 +15,7 @@ behaviour, including the takeover gap bounded by the lease TTL.
 
 from __future__ import annotations
 
-from repro.errors import ConfigError, Interrupted
+from repro.errors import ConfigError
 
 
 class LeaseLock:
@@ -133,12 +133,3 @@ class ControllerReplica:
         self.controller.reconcile(now)
         self.reconciles_as_leader += 1
         return True
-
-    def run(self, sim):
-        """Generator process: compete-and-reconcile every ``interval_s``."""
-        try:
-            while True:
-                yield sim.timeout(self.interval_s)
-                self.step(sim.now)
-        except Interrupted:
-            return

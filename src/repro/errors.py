@@ -37,15 +37,3 @@ class MeshError(ReproError):
 
 class TelemetryError(ReproError):
     """A telemetry query could not be answered."""
-
-
-class Interrupted(ReproError):
-    """Raised inside a simulation process that has been interrupted.
-
-    Attributes:
-        cause: the value passed to :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(f"process interrupted: {cause!r}")
-        self.cause = cause

@@ -3,7 +3,7 @@
 The controllers themselves (:class:`~repro.core.controller.L3Controller`,
 :class:`~repro.balancers.c3.C3Controller`) are substrate-agnostic —
 ``reconcile(now)`` is a pure metrics→weights cycle. On the simulator a
-generator process supplies the cadence; here an asyncio task does. In HA
+``sim.every`` loop supplies the cadence; here an asyncio task does. In HA
 mode the loop steps several :class:`~repro.core.leader.ControllerReplica`
 instances competing over one wall-clock
 :class:`~repro.core.leader.LeaseLock`; only the lease holder reconciles,

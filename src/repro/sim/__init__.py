@@ -1,25 +1,20 @@
 """Discrete-event simulation kernel.
 
-A small, deterministic simulator in the style of SimPy. Control loops
-(scraper, controllers, autoscalers, fault injectors) are generator
-processes that ``yield`` events (timeouts, other processes, bare events)
-and are resumed when those fire; the request data plane schedules pooled
-callbacks on the same agenda. The kernel is the substrate on which the
-whole multi-cluster mesh model runs.
+A small, deterministic simulator with one scheduling primitive: a pooled
+callback event on a heap agenda. The request data plane schedules its
+hops with ``sim.pool.schedule``; one-off actions (weight pushes, faults)
+use ``sim.call_at`` / ``sim.call_after``; control loops (scraper,
+controllers, autoscalers) are ``sim.every(interval_s, tick)``. The
+kernel is the substrate on which the whole multi-cluster mesh model runs.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timeout
-from repro.sim.process import Process
 from repro.sim.resources import Server
 from repro.sim.rng import RngRegistry, lognormal_params_from_percentiles
 
 __all__ = [
-    "Event",
-    "Process",
     "RngRegistry",
     "Server",
     "Simulator",
-    "Timeout",
     "lognormal_params_from_percentiles",
 ]

@@ -66,12 +66,8 @@ class Server:
         return False
 
     def enqueue_waiter(self, event: Event) -> None:
-        """Queue ``event`` for the next free slot (FIFO).
-
-        ``event`` may be any agenda event woken via ``succeed()`` — a
-        bare :class:`Event` a process yields on, or a pooled gate
-        (:meth:`~repro.sim.events.EventPool.gate`).
-        """
+        """Queue ``event`` (a :meth:`~repro.sim.events.EventPool.gate`)
+        for the next free slot (FIFO); it is fired via ``succeed()``."""
         self._waiters.append(event)
 
     def release(self) -> None:

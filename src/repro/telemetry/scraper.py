@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.errors import Interrupted, TelemetryError
+from repro.errors import TelemetryError
 from repro.telemetry.metrics import BackendTelemetry
 from repro.telemetry.names import PROXY_SAMPLE
 from repro.telemetry.timeseries import SampleSeries, TimeSeriesStore
@@ -73,18 +73,13 @@ class Scraper:
         """Resume a paused scrape loop."""
         self.paused = False
 
-    def run(self, sim):
-        """Generator process: scrape every ``interval_s`` until interrupted.
+    def tick(self, now: float) -> None:
+        """One turn of the scrape loop (``sim.every(interval_s, tick)``).
 
         While :attr:`paused`, ticks pass without scraping (counted in
         :attr:`skipped_scrapes`).
         """
-        try:
-            while True:
-                yield sim.timeout(self.interval_s)
-                if self.paused:
-                    self.skipped_scrapes += 1
-                else:
-                    self.scrape_once(sim.now)
-        except Interrupted:
-            return
+        if self.paused:
+            self.skipped_scrapes += 1
+        else:
+            self.scrape_once(now)

@@ -175,9 +175,10 @@ class TestRunLoop:
             "b": MetricSample(0.10, 1.0, 100.0, 1.0),
         }
         controller = make_controller(source, sink)
-        process = sim.spawn(controller.run(sim))
+        loop = sim.every(controller.config.reconcile_interval_s,
+                         controller.reconcile)
         sim.run(until=26.0)
         assert controller.reconcile_count == 5  # t = 5, 10, 15, 20, 25
-        process.interrupt()
+        loop.cancel()
         sim.run()
-        assert not process.is_alive
+        assert controller.reconcile_count == 5

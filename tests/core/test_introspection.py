@@ -46,8 +46,9 @@ def wired(sim):
 class TestIntrospection:
     def test_weights_scraped_per_backend(self, wired):
         sim, controller, store, scraper, introspection = wired
-        sim.spawn(controller.run(sim))
-        sim.spawn(scraper.run(sim))
+        sim.every(controller.config.reconcile_interval_s,
+                  controller.reconcile)
+        sim.every(scraper.interval_s, scraper.tick)
         sim.run(until=31.0)
         history = introspection.weight_series(store, "svc/c1", 0.0, 31.0)
         assert len(history) == 6  # scrapes at 5..30 s
@@ -58,8 +59,9 @@ class TestIntrospection:
 
     def test_ewma_values_exposed(self, wired):
         sim, controller, store, scraper, _intro = wired
-        sim.spawn(controller.run(sim))
-        sim.spawn(scraper.run(sim))
+        sim.every(controller.config.reconcile_interval_s,
+                  controller.reconcile)
+        sim.every(scraper.interval_s, scraper.tick)
         sim.run(until=31.0)
         latency = store.series("l3|svc/c1", LATENCY_EWMA_S).window(0, 31)
         values = [v for _t, v in latency]
@@ -69,8 +71,9 @@ class TestIntrospection:
 
     def test_controller_wide_series(self, wired):
         sim, controller, store, scraper, _intro = wired
-        sim.spawn(controller.run(sim))
-        sim.spawn(scraper.run(sim))
+        sim.every(controller.config.reconcile_interval_s,
+                  controller.reconcile)
+        sim.every(scraper.interval_s, scraper.tick)
         sim.run(until=31.0)
         count = store.series("l3", RECONCILE_COUNT).window(0, 31)
         values = [v for _t, v in count]

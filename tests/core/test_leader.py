@@ -143,10 +143,11 @@ class TestControllerReplica:
                               interval_s=5.0)
             for i, controller in enumerate(controllers)
         ]
-        loops = [sim.spawn(replica.run(sim)) for replica in replicas]
+        loops = [sim.every(replica.interval_s, replica.step)
+                 for replica in replicas]
         sim.run(until=60.0)
         for loop in loops:
-            loop.interrupt()
+            loop.cancel()
         sim.run()
         active = [c for c in controllers if c.reconciles]
         assert len(active) == 1
@@ -160,15 +161,16 @@ class TestControllerReplica:
                               interval_s=5.0)
             for i, controller in enumerate(controllers)
         ]
-        loops = [sim.spawn(replica.run(sim)) for replica in replicas]
-        # replica-0 wins the first election (tie broken by spawn order).
+        loops = [sim.every(replica.interval_s, replica.step)
+                 for replica in replicas]
+        # replica-0 wins the first election (tie broken by start order).
         sim.run(until=20.0)
         leader_index = 0 if replicas[0].is_leader(20.0) else 1
         standby_index = 1 - leader_index
         replicas[leader_index].crash()
         sim.run(until=60.0)
         for loop in loops:
-            loop.interrupt()
+            loop.cancel()
         sim.run()
         # The standby took over within the lease TTL and kept reconciling.
         assert controllers[standby_index].reconciles
@@ -181,14 +183,14 @@ class TestControllerReplica:
         controller = CountingController()
         replica = ControllerReplica("solo", controller, lease,
                                     interval_s=5.0)
-        loop = sim.spawn(replica.run(sim))
+        loop = sim.every(replica.interval_s, replica.step)
         sim.run(until=12.0)
         replica.crash()
         sim.run(until=30.0)
         count_at_crash = len(controller.reconciles)
         replica.recover()
         sim.run(until=50.0)
-        loop.interrupt()
+        loop.cancel()
         sim.run()
         assert len(controller.reconciles) > count_at_crash
 
@@ -200,13 +202,14 @@ class TestControllerReplica:
                               interval_s=5.0)
             for i, controller in enumerate(controllers)
         ]
-        loops = [sim.spawn(replica.run(sim)) for replica in replicas]
+        loops = [sim.every(replica.interval_s, replica.step)
+                 for replica in replicas]
         sim.run(until=20.0)
         leader_index = 0 if replicas[0].is_leader(20.0) else 1
         replicas[leader_index].crash()
         sim.run(until=80.0)
         for loop in loops:
-            loop.interrupt()
+            loop.cancel()
         sim.run()
         all_reconciles = sorted(
             controllers[0].reconciles + controllers[1].reconciles)

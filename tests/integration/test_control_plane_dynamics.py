@@ -42,7 +42,7 @@ def build_world(seed=3, propagation_delay_s=0.5, profiles=None):
         config=L3Config(), propagation_delay_s=propagation_delay_s)
     proxy = mesh.client_proxy("cluster-1", "api", balancer)
     mesh.register_all_telemetry(scraper)
-    sim.spawn(scraper.run(sim))
+    sim.every(scraper.interval_s, scraper.tick)
     balancer.start(sim)
     return sim, rng, mesh, balancer, proxy
 

@@ -11,7 +11,7 @@ from repro.sim.resources import Server
 from repro.telemetry.histogram import LatencyHistogram
 from repro.telemetry.timeseries import SampleSeries
 from repro.workloads.profiles import PiecewiseSeries
-from tests.sim._slot import slot
+from tests.conftest import occupy
 
 latencies = st.floats(min_value=0.0, max_value=120.0)
 
@@ -125,17 +125,12 @@ class TestServerProperties:
         done = []
         peak = {"value": 0}
 
-        def job(sim, hold):
-            yield slot(sim, server)
-            try:
-                peak["value"] = max(peak["value"], server.in_use)
-                yield sim.timeout(hold)
-                done.append(hold)
-            finally:
-                server.release()
+        def started():
+            peak["value"] = max(peak["value"], server.in_use)
 
         for hold in hold_times:
-            sim.spawn(job(sim, hold))
+            occupy(sim, server, hold, lambda hold=hold: done.append(hold),
+                   started=started)
         sim.run()
         assert len(done) == len(hold_times)
         assert peak["value"] <= capacity

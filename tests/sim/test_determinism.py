@@ -1,9 +1,11 @@
 """Determinism and stress tests for the simulation kernel."""
 
+from functools import partial
+
 from repro.sim.engine import Simulator
 from repro.sim.resources import Server
 from repro.sim.rng import RngRegistry
-from tests.sim._slot import slot
+from tests.conftest import occupy
 
 
 def chaotic_workload(seed):
@@ -14,21 +16,16 @@ def chaotic_workload(seed):
     server = Server(sim, 4)
     log = []
 
-    def job(sim, i):
-        yield sim.timeout(rng.random() * 2.0)
-        yield slot(sim, server)
-        try:
-            yield sim.timeout(rng.random() * 0.5)
-            log.append((round(sim.now, 9), i))
-        finally:
-            server.release()
+    def job(i):
+        occupy(sim, server, rng.random() * 0.5,
+               lambda: log.append((round(sim.now, 9), i)))
 
-    def spawner(sim):
-        for i in range(300):
-            sim.spawn(job(sim, i))
-            yield sim.timeout(rng.random() * 0.05)
+    def spawner(i):
+        sim.call_after(rng.random() * 2.0, job, i)
+        if i + 1 < 300:
+            sim.call_after(rng.random() * 0.05, spawner, i + 1)
 
-    sim.spawn(spawner(sim))
+    spawner(0)
     sim.run()
     return sim.now, tuple(log)
 
@@ -50,46 +47,55 @@ class TestStress:
     def test_many_concurrent_processes(self):
         sim = Simulator()
         done = []
+        ticks = [0] * 2000
+        loops = []
 
-        def worker(sim, i):
-            for _ in range(10):
-                yield sim.timeout(0.1)
-            done.append(i)
+        def worker(i, _now):
+            ticks[i] += 1
+            if ticks[i] == 10:
+                loops[i].cancel()
+                done.append(i)
 
         for i in range(2000):
-            sim.spawn(worker(sim, i))
+            loops.append(sim.every(0.1, partial(worker, i)))
         sim.run()
         assert len(done) == 2000
         assert abs(sim.now - 1.0) < 1e-9  # 10 x 0.1 accumulates FP error
 
     def test_deep_process_chain(self):
+        """A 200-deep chain of gates, each fired from the callback of the
+        one before it: wake-ups go through the agenda, not the stack."""
         sim = Simulator()
+        fired = []
 
-        def nested(sim, depth):
-            if depth == 0:
-                yield sim.timeout(0.001)
-                return 0
-            result = yield sim.spawn(nested(sim, depth - 1))
-            return result + 1
+        def link(depth, inner):
+            fired.append(depth)
+            if inner is not None:
+                inner.succeed()
 
-        process = sim.spawn(nested(sim, 200))
+        gate = None
+        for depth in range(201):
+            gate = sim.pool.gate(partial(link, depth, gate))
+        gate.succeed(delay=0.001)
         sim.run()
-        assert process.value == 200
+        assert fired == list(range(200, -1, -1))
+        assert sim.now == 0.001
 
     def test_interleaved_events_and_processes(self):
         sim = Simulator()
         order = []
 
-        def process(sim):
-            yield sim.timeout(1.0)
-            order.append("process")
-
-        sim.call_after(1.0, order.append, "callback-first")
-        sim.spawn(process(sim))
-        sim.call_after(1.0, order.append, "callback-second")
-        sim.run()
-        assert len(order) == 3
-        # Deterministic tie order at equal time = enqueue order. The
-        # process's timeout is enqueued when its generator first runs
-        # (bootstrap at t=0), i.e. *after* both callbacks registered.
-        assert order == ["callback-first", "callback-second", "process"]
+        sim.call_at(1.0, order.append, "callback-first")
+        sim.every(1.0, lambda now: order.append("loop-a"))
+        sim.every(1.0, lambda now: order.append("loop-b"))
+        sim.run(until=1.0)
+        # Deterministic tie order at equal time = enqueue order.
+        assert order == ["callback-first", "loop-a", "loop-b"]
+        # A one-off registered before the instant still precedes both
+        # loops, whose next ticks were enqueued at t=1 in A-then-B order
+        # — the ordering the pinned digests rest on.
+        sim.call_at(3.0, order.append, "callback-second")
+        del order[:]
+        sim.run(until=3.0)
+        assert order == ["loop-a", "loop-b",
+                         "callback-second", "loop-a", "loop-b"]

@@ -26,8 +26,8 @@ class TestClock:
         assert sim.peek() == float("inf")
 
     def test_peek_returns_next_event_time(self, sim):
-        sim.timeout(3.0)
-        sim.timeout(1.0)
+        sim.call_after(3.0, lambda: None)
+        sim.call_after(1.0, lambda: None)
         assert sim.peek() == 1.0
 
 
@@ -110,40 +110,3 @@ class TestRun:
         with pytest.raises(SimulationError):
             sim.call_after(-1.0, lambda: None)
 
-
-class TestErrorPropagation:
-    def test_unwaited_process_failure_aborts_run(self, sim):
-        def bad(sim):
-            yield sim.timeout(1.0)
-            raise ValueError("boom")
-
-        sim.spawn(bad(sim))
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_waited_process_failure_reaches_waiter(self, sim):
-        outcome = []
-
-        def bad(sim):
-            yield sim.timeout(1.0)
-            raise ValueError("boom")
-
-        def guard(sim):
-            try:
-                yield sim.spawn(bad(sim))
-            except ValueError as error:
-                outcome.append(str(error))
-
-        sim.spawn(guard(sim))
-        sim.run()
-        assert outcome == ["boom"]
-
-    def test_defused_failure_does_not_abort(self, sim):
-        def bad(sim):
-            yield sim.timeout(1.0)
-            raise ValueError("boom")
-
-        process = sim.spawn(bad(sim))
-        process.defused = True
-        sim.run()
-        assert not process.ok

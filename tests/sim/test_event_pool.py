@@ -1,11 +1,10 @@
 """The pooled-event free list: reuse, state hygiene, and the bound.
 
 These pin the reuse contract documented on
-:class:`repro.sim.events.PooledCallback`: a recycled event must be
-indistinguishable from a fresh one (no stale function, value, exception
-or callback leaking into the next occupant), chains of hops must reuse
-one object end to end, and the free list must never grow past
-``max_free``.
+:class:`repro.sim.events.Event`: a recycled event must be
+indistinguishable from a fresh one (no stale function or trigger flag
+leaking into the next occupant), chains of hops must reuse one object
+end to end, and the free list must never grow past ``max_free``.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import _PENDING, EventPool, PooledCallback
+from repro.sim.events import EventPool
 
 
 class TestReuse:
@@ -55,11 +54,11 @@ class TestReuse:
         pool = EventPool(sim)
         fired = []
         gate = pool.gate(lambda: fired.append(sim.now))
-        sim.timeout(2.0).add_callback(lambda _: gate.succeed())
+        sim.call_after(2.0, gate.succeed)
         sim.run()
         assert fired == [2.0]
         # The gate recycled itself on firing and is reusable.
-        assert pool.acquire(lambda: None) is gate
+        assert pool.gate(lambda: None) is gate
 
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
@@ -73,27 +72,7 @@ class TestNoStaleState:
         sim.run()
         assert len(pool) == 1
         assert event.fn is None
-        assert event._value is _PENDING
         assert not event.triggered
-
-    def test_recycle_clears_every_field(self, sim):
-        pool = EventPool(sim)
-        event = PooledCallback(sim, pool)
-        event.fn = lambda: None
-        event._value = None
-        event._exception = ValueError("stale")
-        event._processed = True
-        event._delivered = True
-        event.defused = True
-        event.callbacks.append(lambda _: None)
-        pool.recycle(event)
-        assert event.fn is None
-        assert not event.triggered
-        assert event._exception is None
-        assert not event._processed
-        assert not event._delivered
-        assert not event.defused
-        assert event.callbacks == []
 
     def test_next_occupant_sees_only_its_own_fn(self, sim):
         pool = EventPool(sim)
@@ -126,15 +105,6 @@ class TestBound:
             pool.schedule(0.0, lambda: None)
         sim.run()
         assert len(pool) <= 2
-
-    def test_overflow_recycle_drops_event(self, sim):
-        pool = EventPool(sim, max_free=1)
-        kept = PooledCallback(sim, pool)
-        dropped = PooledCallback(sim, pool)
-        pool.recycle(kept)
-        pool.recycle(dropped)
-        assert len(pool) == 1
-        assert pool.acquire(lambda: None) is kept
 
     def test_zero_bound_pool_always_allocates(self, sim):
         pool = EventPool(sim, max_free=0)

@@ -4,16 +4,11 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.resources import Server
-from tests.sim._slot import slot
+from tests.conftest import occupy
 
 
-def occupy(sim, server, hold, log, tag):
-    yield slot(sim, server)
-    try:
-        yield sim.timeout(hold)
-        log.append((sim.now, tag))
-    finally:
-        server.release()
+def hold(sim, server, hold_s, log, tag):
+    occupy(sim, server, hold_s, lambda: log.append((sim.now, tag)))
 
 
 class TestServer:
@@ -25,7 +20,7 @@ class TestServer:
         server = Server(sim, 2)
         log = []
         for i in range(2):
-            sim.spawn(occupy(sim, server, 1.0, log, i))
+            hold(sim, server, 1.0, log, i)
         sim.run()
         assert [t for t, _ in log] == [1.0, 1.0]
 
@@ -33,14 +28,14 @@ class TestServer:
         server = Server(sim, 1)
         log = []
         for i in range(3):
-            sim.spawn(occupy(sim, server, 1.0, log, i))
+            hold(sim, server, 1.0, log, i)
         sim.run()
         assert log == [(1.0, 0), (2.0, 1), (3.0, 2)]
 
     def test_in_use_and_queue_len_track_state(self, sim):
         server = Server(sim, 1)
         for i in range(3):
-            sim.spawn(occupy(sim, server, 1.0, [], i))
+            hold(sim, server, 1.0, [], i)
         sim.run(until=0.5)
         assert server.in_use == 1
         assert server.queue_len == 2
@@ -56,7 +51,7 @@ class TestServer:
     def test_release_hands_slot_to_waiter_without_gap(self, sim):
         server = Server(sim, 1)
         log = []
-        sim.spawn(occupy(sim, server, 2.0, log, "first"))
-        sim.spawn(occupy(sim, server, 1.0, log, "second"))
+        hold(sim, server, 2.0, log, "first")
+        hold(sim, server, 1.0, log, "second")
         sim.run()
         assert log == [(2.0, "first"), (3.0, "second")]

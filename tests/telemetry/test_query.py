@@ -295,14 +295,13 @@ class TestCounterResetsAndGaps:
         telemetry = BackendTelemetry("b")
         scraper.register(telemetry)
 
-        def traffic(sim):
-            while True:
-                telemetry.on_request_sent()
-                telemetry.on_response(0.01, success=True)
-                yield sim.timeout(0.5)
+        def traffic(now):
+            telemetry.on_request_sent()
+            telemetry.on_response(0.01, success=True)
 
-        sim.spawn(traffic(sim))
-        sim.spawn(scraper.run(sim))
+        traffic(0.0)
+        sim.every(0.5, traffic)
+        sim.every(scraper.interval_s, scraper.tick)
         source = PromMetricsSource(store)
         sim.run(until=21.0)
         assert source.collect(["b"], 20.0, 10.0, 0.99)["b"].rps == 2.0

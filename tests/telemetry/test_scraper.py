@@ -66,28 +66,28 @@ class TestScraping:
     def test_run_loop_scrapes_on_interval(self, sim, store, scraper):
         telemetry = BackendTelemetry("b")
         scraper.register(telemetry)
-        process = sim.spawn(scraper.run(sim))
+        loop = sim.every(scraper.interval_s, scraper.tick)
         sim.run(until=16.0)
         samples = store.series("b", PROXY_SAMPLE).window(0, 16)
         assert [t for t, _v in samples] == [5.0, 10.0, 15.0]
-        process.interrupt()
+        loop.cancel()
         sim.run()
-        assert not process.is_alive
+        assert len(store.series("b", PROXY_SAMPLE)) == 3
 
     def test_counters_scraped_are_monotone(self, sim, store, scraper):
         telemetry = BackendTelemetry("b")
         scraper.register(telemetry)
 
-        def traffic(sim):
-            while sim.now < 20.0:
-                telemetry.on_request_sent()
-                telemetry.on_response(0.01, success=True)
-                yield sim.timeout(0.5)
+        def traffic(now):
+            telemetry.on_request_sent()
+            telemetry.on_response(0.01, success=True)
 
-        sim.spawn(traffic(sim))
-        loop = sim.spawn(scraper.run(sim))
+        traffic(0.0)
+        load = sim.every(0.5, traffic)
+        loop = sim.every(scraper.interval_s, scraper.tick)
         sim.run(until=20.0)
-        loop.interrupt()
+        load.cancel()
+        loop.cancel()
         sim.run()
         values = [row.requests_total for _t, row in
                   store.series("b", PROXY_SAMPLE).window(0, 99)]

@@ -50,6 +50,19 @@ class TestSubpackages:
             for name in pkg.__all__:
                 assert hasattr(pkg, name), f"{pkg.__name__}.{name}"
 
+    def test_kernel_exports_one_scheduling_model(self):
+        """Callbacks on the agenda are the only way to schedule: no
+        generator-process API and no event hierarchy to wait on."""
+        import repro.errors
+        import repro.sim
+
+        assert not {"Event", "Process", "Timeout"} & set(repro.sim.__all__)
+        assert not hasattr(repro.sim, "Process")
+        assert not hasattr(repro.sim, "Timeout")
+        assert not hasattr(repro.errors, "Interrupted")
+        for gone in ("spawn", "timeout", "event"):
+            assert not hasattr(repro.sim.Simulator, gone), gone
+
     def test_module_docstrings_everywhere(self):
         import pathlib
         import ast
