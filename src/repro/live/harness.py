@@ -431,6 +431,11 @@ class LiveHarness:
             task.cancel()
         await asyncio.gather(*background, return_exceptions=True)
 
+        # Client pools go before the servers: a parked connection is an
+        # idle handler on the other side, and both ends should be gone
+        # by the time the leak report is taken.
+        for client in self.http_clients():
+            await client.aclose()
         if self.parts.metrics_server is not None:
             await self.parts.metrics_server.stop()
         for server in self.parts.servers.values():
@@ -447,6 +452,26 @@ class LiveHarness:
     def clean_shutdown(self) -> bool:
         """True when teardown left no running tasks behind."""
         return not self.leaked_tasks
+
+    def http_clients(self) -> list:
+        """The pooled clients of the run: the proxy's and the scraper's."""
+        clients = []
+        if self.parts.proxy is not None:
+            clients.append(self.parts.proxy.transport.client)
+        if self.parts.scraper is not None:
+            clients.append(self.parts.scraper.client)
+        return clients
+
+    @property
+    def connections_opened(self) -> int:
+        """TCP connections the proxy and scraper opened over the run."""
+        return sum(c.connections_opened for c in self.http_clients())
+
+    @property
+    def connection_reuse_ratio(self) -> float:
+        """Share of HTTP requests that rode an already-open connection."""
+        sent = sum(c.requests_sent for c in self.http_clients())
+        return 1.0 - self.connections_opened / sent if sent else 0.0
 
     @property
     def weight_history(self) -> list[tuple[float, dict[str, int]]]:

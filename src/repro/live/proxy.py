@@ -11,9 +11,12 @@ bundles — scoped by source cluster — that the ``/metrics`` endpoint
 exposes, so L3's success-rate and latency signals see exactly what a
 sidecar would report.
 
-The transport is injectable: the default :class:`HttpTransport` opens a
-TCP connection per attempt; tests substitute an async callable to cover
-routing, retry, timeout and telemetry paths without sockets or sleeps.
+The transport is injectable: the default :class:`HttpTransport` sends
+each attempt over a pooled persistent connection to the chosen backend
+(:class:`repro.live.httpwire.HttpClient` — an abandoned attempt's
+socket is closed, never pooled); tests substitute an async callable to
+cover routing, retry, timeout and telemetry paths without sockets or
+sleeps.
 """
 
 from __future__ import annotations
@@ -35,21 +38,11 @@ class HttpTransport:
 
     def __init__(self, path: str = "/work"):
         self.path = path
+        self.client = httpwire.HttpClient()
 
     async def __call__(self, host: str, port: int) -> bool:
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            writer.write(httpwire.request_bytes("GET", self.path,
-                                                f"{host}:{port}"))
-            await writer.drain()
-            first, headers = await httpwire.read_head(reader)
-            status = httpwire.parse_status_line(first)
-            length = httpwire.content_length(headers)
-            if length > 0:
-                await reader.readexactly(length)
-            return 200 <= status < 300
-        finally:
-            await httpwire.close_writer(writer)
+        status, _body = await self.client.get(host, port, self.path)
+        return 200 <= status < 300
 
 
 class LiveProxy:

@@ -21,36 +21,35 @@ produces.
 from __future__ import annotations
 
 import asyncio
+import functools
 
-from repro.errors import TelemetryError
+from repro.errors import MeshError, TelemetryError
 from repro.live import httpwire
 from repro.live.exposition import parse_exposition
 from repro.telemetry.names import PROXY_METRICS, PROXY_SAMPLE, ProxySample
 from repro.telemetry.timeseries import TimeSeriesStore
 
 
-async def fetch_metrics(host: str, port: int, timeout_s: float = 2.0) -> str:
-    """GET /metrics from one target; returns the page text."""
+async def fetch_metrics(host: str, port: int, timeout_s: float = 2.0,
+                        client: httpwire.HttpClient | None = None) -> str:
+    """GET /metrics from one target; returns the page text.
 
-    async def _get() -> str:
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            writer.write(httpwire.request_bytes("GET", "/metrics",
-                                                f"{host}:{port}"))
-            await writer.drain()
-            first, headers = await httpwire.read_head(reader)
-            status = httpwire.parse_status_line(first)
-            if status != 200:
-                raise TelemetryError(
-                    f"{host}:{port}/metrics answered {status}")
-            length = httpwire.content_length(headers)
-            body = await reader.readexactly(length) if length > 0 else \
-                await reader.read()
-            return body.decode("utf-8")
-        finally:
-            await httpwire.close_writer(writer)
-
-    return await asyncio.wait_for(_get(), timeout_s)
+    Sends through ``client``'s pooled connections; without one, a
+    throwaway client serves this fetch alone. A fetch that outlives
+    ``timeout_s`` closes its connection instead of pooling it.
+    """
+    own = client is None
+    if own:
+        client = httpwire.HttpClient()
+    try:
+        status, body = await asyncio.wait_for(
+            client.get(host, port, "/metrics"), timeout_s)
+    finally:
+        if own:
+            await client.aclose()
+    if status != 200:
+        raise TelemetryError(f"{host}:{port}/metrics answered {status}")
+    return body.decode("utf-8")
 
 
 def _group_proxy_rows(samples: dict) -> dict:
@@ -77,8 +76,9 @@ class HttpScraper:
             clock: zero-argument callable, seconds since the run started.
             interval_s: scrape cadence.
             fetch: async ``f(host, port) -> page text`` (defaults to
-                :func:`fetch_metrics`); tests inject a fake to scrape
-                without sockets.
+                :func:`fetch_metrics` over this scraper's own pooled
+                :attr:`client`); tests inject a fake to scrape without
+                sockets.
         """
         if interval_s <= 0:
             raise TelemetryError(f"scrape interval must be positive: "
@@ -87,7 +87,9 @@ class HttpScraper:
         self.targets = list(targets)
         self.clock = clock
         self.interval_s = interval_s
-        self._fetch = fetch or fetch_metrics
+        self.client = httpwire.HttpClient()
+        self._fetch = fetch or functools.partial(fetch_metrics,
+                                                 client=self.client)
         self.scrape_count = 0
         self.failed_scrapes = 0
         self.stale_drops = 0
@@ -98,7 +100,7 @@ class HttpScraper:
         try:
             samples = _group_proxy_rows(
                 parse_exposition(await self._fetch(host, port)))
-        except (OSError, TelemetryError, asyncio.TimeoutError,
+        except (OSError, MeshError, TelemetryError, asyncio.TimeoutError,
                 TimeoutError, asyncio.IncompleteReadError,
                 UnicodeDecodeError):
             self.failed_scrapes += 1

@@ -14,16 +14,21 @@ feedback channel the C3 adaptation reads.
 :class:`MetricsServer` is the proxy-side twin: a bare ``/metrics``
 endpoint over a render callable.
 
-Both servers bind with port-collision retry (:func:`start_http_server`)
-and shut down gracefully: the listener closes first, in-flight handlers
-get a bounded drain, stragglers are cancelled.
+Both servers bind with port-collision retry (:func:`start_http_server`),
+keep connections alive — a handler serves requests until the peer
+closes, asks for ``Connection: close`` or the listener goes down — and
+shut down gracefully: the listener closes first and takes the idle
+kept-alive connections with it, in-flight handlers get a bounded drain,
+stragglers are cancelled.
 
 Both are also chaos targets (:mod:`repro.live.chaos`): a
 :class:`ReplicaServer` can :meth:`~ReplicaServer.crash` in the
-simulator's two down modes — ``fail_fast`` closes the listener so new
-connections are refused at the OS level, ``blackhole`` keeps accepting
-but never answers — and :meth:`~ReplicaServer.restart` re-binds the
-same port. Any server's ``/metrics`` page can be failed independently
+simulator's two down modes — ``fail_fast`` closes the listener and
+resets the idle connections, so the replica is refused at the OS level
+and unreachable through any client's pool, ``blackhole`` keeps
+accepting and reading requests but never answers — and
+:meth:`~ReplicaServer.restart` re-binds the same port. Any server's
+``/metrics`` page can be failed independently
 (:meth:`~_HttpServerBase.fail_metrics`: 500s or accept-then-stall), the
 live face of a scrape outage. Stalled handlers park on an internal gate
 that teardown and restarts release, so a chaos run never strands tasks.
@@ -74,6 +79,8 @@ class _HttpServerBase:
         self.port: int | None = None
         self._server: asyncio.Server | None = None
         self._handlers: set[asyncio.Task] = set()
+        # Connections parked between requests, for the listener to reset.
+        self._idle: set[asyncio.StreamWriter] = set()
         # Injected /metrics failure (scrape outage): None, "error", "stall".
         self.metrics_fail_mode: str | None = None
         # Handlers told to stall (blackhole / stalled scrapes) park here;
@@ -93,10 +100,7 @@ class _HttpServerBase:
         """Stop listening, drain in-flight handlers, cancel stragglers."""
         self._stopped = True
         self.release_stalls()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._close_listener()
         if self._handlers:
             done, pending = await asyncio.wait(
                 set(self._handlers), timeout=drain_s)
@@ -105,6 +109,21 @@ class _HttpServerBase:
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
         self._handlers.clear()
+
+    async def _close_listener(self) -> None:
+        """Stop accepting and reset every idle kept-alive connection.
+
+        ``_server`` is cleared before anything is awaited: a handler
+        finishing its response meanwhile must see the listener down, or
+        it would park a connection on a server that no longer exists.
+        """
+        server, self._server = self._server, None
+        if server is None:
+            return
+        server.close()
+        for writer in list(self._idle):
+            writer.close()
+        await server.wait_closed()
 
     # ----------------------------------------- chaos hooks (scrapes) -- #
 
@@ -151,18 +170,25 @@ class _HttpServerBase:
             self._handlers.add(task)
             task.add_done_callback(self._handlers.discard)
         try:
-            try:
-                first, _headers = await httpwire.read_head(reader)
-                _method, path = httpwire.parse_request_line(first)
-            except (MeshError, asyncio.IncompleteReadError,
-                    asyncio.LimitOverrunError, ConnectionError):
-                return
-            status, body = await self._respond(path)
-            writer.write(httpwire.response_bytes(status, body))
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
+            while self._server is not None:
+                self._idle.add(writer)
+                try:
+                    first, headers = await httpwire.read_head(reader)
+                    _method, path = httpwire.parse_request_line(first)
+                except (MeshError, asyncio.IncompleteReadError,
+                        ConnectionError):
+                    return
+                finally:
+                    self._idle.discard(writer)
+                status, body = await self._respond(path)
+                close = self._server is None or httpwire.wants_close(headers)
+                writer.write(httpwire.response_bytes(status, body, close))
+                try:
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    return
+                if close:
+                    return
         finally:
             await httpwire.close_writer(writer)
 
@@ -217,10 +243,13 @@ class ReplicaServer(_HttpServerBase):
     async def crash(self, mode: str = "fail_fast") -> None:
         """Take the replica down (live fault injection).
 
-        ``fail_fast`` closes the listener: new connections are refused
-        at the OS level (ECONNREFUSED — the platform's "pod is gone"),
-        while already-accepted requests finish. ``blackhole`` keeps the
-        listener: connections are accepted, bytes are read, and nothing
+        ``fail_fast`` closes the listener and resets the idle
+        kept-alive connections: new connections are refused at the OS
+        level (ECONNREFUSED — the platform's "pod is gone") and no
+        client's pool still reaches the replica, while requests already
+        being served finish and carry ``Connection: close``.
+        ``blackhole`` keeps the listener and every connection: requests
+        are accepted and read, new and kept-alive alike, and nothing
         ever answers — only a client-side deadline turns the silence
         into a signal.
         """
@@ -229,10 +258,8 @@ class ReplicaServer(_HttpServerBase):
                 f"down mode must be one of {DOWN_MODES}: {mode!r}")
         self.down_mode = mode
         self.crash_count += 1
-        if mode == "fail_fast" and self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        if mode == "fail_fast":
+            await self._close_listener()
 
     async def restart(self) -> None:
         """Bring a crashed replica back up (re-bind the same port).

@@ -386,3 +386,33 @@ class TestChaosSmoke:
         # The scraper felt the outage and survived it.
         assert harness.parts.scraper.failed_scrapes > 0
         assert result.request_count > 50
+
+    def test_open_faults_at_teardown_leak_no_task_socket_or_fd(self):
+        # A fail-fast crash, a blackholed replica and a partitioned link
+        # are all still open when the run ends: dead pooled connections,
+        # parked handlers and traversals hung on the partition must all
+        # be gone after shutdown.
+        import os
+
+        fds_before = len(os.listdir("/proc/self/fd"))
+        config = chaos_config(
+            "l3", PORT_BASE + 64, 4.0,
+            "replica-crash@1.5:service=api:cluster=cluster-2:mode=fail_fast ; "
+            "replica-crash@2:service=api:cluster=cluster-3:mode=blackhole ; "
+            "link-partition@2.5:src=cluster-1:dst=cluster-1:symmetric=false")
+        harness = LiveHarness(uniform_scenario(), config)
+        result = harness.run()
+
+        assert harness.clean_shutdown, harness.leaked_tasks
+        assert harness.chaos_errors == []
+        assert [desc.split(" ", 1)[0] for _t, desc in harness.fault_log] \
+            == ["apply"] * 3
+        # The pools were warm before the faults and are empty now.
+        clients = harness.http_clients()
+        assert len(clients) == 2
+        assert all(c.requests_sent > c.connections_opened > 0
+                   for c in clients)
+        assert [c.idle_connections for c in clients] == [0, 0]
+        assert result.request_count > 50
+        assert any(not r.success for r in result.records)
+        assert len(os.listdir("/proc/self/fd")) == fds_before

@@ -1,19 +1,28 @@
-"""Tests for the HTTP scrape loop — fake fetches, fake clock, no sockets."""
+"""Tests for the HTTP scrape loop — fake fetches, fake clock, no sockets.
+
+The class at the bottom is the exception: pooled scrape connections
+against a real :class:`MetricsServer`.
+"""
 
 import asyncio
+import functools
 
 import pytest
 
 from repro.errors import TelemetryError
+from repro.live import httpwire
 from repro.live.clock import FakeClock
 from repro.live.exposition import render_exposition
-from repro.live.scrape import HttpScraper
+from repro.live.scrape import HttpScraper, fetch_metrics
+from repro.live.server import MetricsServer
 from repro.telemetry import names
 from repro.telemetry.metrics import BackendTelemetry
 from repro.telemetry.query import PromMetricsSource
 from repro.telemetry.timeseries import TimeSeriesStore
 
 SERIES = "cluster-1|api/cluster-2"
+
+PORT_BASE = 19360  # real-socket tests; below test_proxy's range
 
 
 class FakePage:
@@ -239,3 +248,84 @@ class TestConcurrentRounds:
                     if t is not asyncio.current_task() and not t.done()]
 
         assert asyncio.run(scenario()) == []
+
+
+class TestPooledScrapes:
+    """Real sockets: the scraper's rounds share connections per target."""
+
+    def test_rounds_reuse_one_connection_per_target(self):
+        telemetry = BackendTelemetry("api/cluster-2", scrape_name=SERIES)
+
+        async def scenario():
+            server = MetricsServer(lambda: render_exposition([telemetry]))
+            port = await server.start(PORT_BASE)
+            scraper = HttpScraper(TimeSeriesStore(), [("127.0.0.1", port)],
+                                  FakeClock())
+            try:
+                for now in (1.0, 2.0, 3.0):
+                    assert await scraper.scrape_once(now) == 1
+                assert scraper.client.connections_opened == 1
+                assert scraper.client.requests_sent == 3
+                await scraper.client.aclose()
+                assert scraper.client.idle_connections == 0
+            finally:
+                await server.stop()
+
+        asyncio.run(scenario())
+
+    def test_stalled_page_times_out_and_its_connection_is_not_reused(self):
+        telemetry = BackendTelemetry("api/cluster-2", scrape_name=SERIES)
+
+        async def scenario():
+            server = MetricsServer(lambda: render_exposition([telemetry]))
+            port = await server.start(PORT_BASE + 10)
+            client = httpwire.HttpClient()
+            scraper = HttpScraper(
+                TimeSeriesStore(), [("127.0.0.1", port)], FakeClock(),
+                fetch=functools.partial(fetch_metrics, timeout_s=0.1,
+                                        client=client))
+            try:
+                assert await scraper.scrape_once(1.0) == 1
+                assert client.idle_connections == 1
+                server.fail_metrics("stall")
+                assert await scraper.scrape_once(2.0) == 0
+                assert scraper.failed_scrapes == 1
+                # The fetch rode the pooled connection into the stall;
+                # its deadline closed that socket for good.
+                assert client.connections_opened == 1
+                assert client.idle_connections == 0
+                server.restore_metrics()
+                assert await scraper.scrape_once(3.0) == 1
+                assert client.connections_opened == 2
+                for _ in range(100):
+                    if len(server._handlers) == 1:
+                        break
+                    await asyncio.sleep(0.01)
+                # The stalled handler answered into the closed socket
+                # and left; only the new connection's remains.
+                assert len(server._handlers) == 1
+            finally:
+                await client.aclose()
+                await server.stop()
+
+        asyncio.run(scenario())
+
+    def test_error_page_keeps_the_connection(self):
+        # A 500 is a complete response: a failed scrape, a healthy socket.
+        async def scenario():
+            server = MetricsServer(lambda: "")
+            port = await server.start(PORT_BASE + 20)
+            client = httpwire.HttpClient()
+            try:
+                server.fail_metrics("error")
+                with pytest.raises(TelemetryError):
+                    await fetch_metrics("127.0.0.1", port, client=client)
+                server.restore_metrics()
+                assert await fetch_metrics("127.0.0.1", port,
+                                           client=client) == ""
+                assert client.connections_opened == 1
+            finally:
+                await client.aclose()
+                await server.stop()
+
+        asyncio.run(scenario())

@@ -30,13 +30,22 @@ def replica_server(port=PORT_BASE, **kwargs):
                          random.Random(1), FakeClock())
 
 
+async def get_once(port, path="/work"):
+    """One request on a throwaway transport (its pool closed after)."""
+    transport = HttpTransport(path=path)
+    try:
+        return await transport("127.0.0.1", port)
+    finally:
+        await transport.client.aclose()
+
+
 class TestReplicaServer:
     def test_work_and_metrics_round_trip(self):
         async def scenario():
             server = replica_server()
             port = await server.start(PORT_BASE)
             try:
-                assert await HttpTransport()("127.0.0.1", port)
+                assert await get_once(port)
                 page = await fetch_metrics("127.0.0.1", port)
             finally:
                 await server.stop()
@@ -54,7 +63,7 @@ class TestReplicaServer:
                                    random.Random(1), FakeClock())
             port = await server.start(PORT_BASE)
             try:
-                assert not await HttpTransport()("127.0.0.1", port)
+                assert not await get_once(port)
             finally:
                 await server.stop()
             assert server.failures_served == 1
@@ -66,8 +75,7 @@ class TestReplicaServer:
             server = replica_server()
             port = await server.start(PORT_BASE)
             try:
-                assert not await HttpTransport(path="/nope")(
-                    "127.0.0.1", port)
+                assert not await get_once(port, path="/nope")
             finally:
                 await server.stop()
             assert server.requests_served == 0
@@ -79,7 +87,7 @@ class TestReplicaServer:
         async def scenario():
             server = replica_server()
             port = await server.start(PORT_BASE)
-            await HttpTransport()("127.0.0.1", port)
+            await get_once(port)
             await server.stop()
             assert not server._handlers
             with pytest.raises(OSError):
@@ -104,6 +112,139 @@ class TestReplicaServer:
                 with pytest.raises(MeshError):
                     await server.start(PORT_BASE)
             finally:
+                await server.stop()
+
+        asyncio.run(scenario())
+
+
+class TestKeepAlive:
+    """Persistent connections across crash, blackhole, restart and stop."""
+
+    def test_requests_share_a_connection_until_stop_drops_it(self):
+        async def scenario():
+            server = replica_server()
+            port = await server.start(PORT_BASE + 10)
+            transport = HttpTransport()
+            for _ in range(5):
+                assert await transport("127.0.0.1", port)
+            assert transport.client.connections_opened == 1
+            assert len(server._handlers) == 1
+            # The parked handler is dropped at once, not drained.
+            started = asyncio.get_running_loop().time()
+            await server.stop(drain_s=5.0)
+            assert asyncio.get_running_loop().time() - started < 1.0
+            assert not server._handlers
+            await transport.client.aclose()
+            assert server.requests_served == 5
+
+        asyncio.run(scenario())
+
+    def test_fail_fast_is_unreachable_through_a_warm_pool(self):
+        async def scenario():
+            server = replica_server()
+            port = await server.start(PORT_BASE + 20)
+            transport = HttpTransport()
+            try:
+                assert await transport("127.0.0.1", port)
+                assert transport.client.idle_connections == 1
+                await server.crash("fail_fast")
+                with pytest.raises(ConnectionRefusedError):
+                    await transport("127.0.0.1", port)
+                await server.restart()
+                assert server.port == port
+                assert await transport("127.0.0.1", port)
+                assert transport.client.connections_opened == 2
+            finally:
+                await transport.client.aclose()
+                await server.stop()
+            assert server.requests_served == 2
+
+        asyncio.run(scenario())
+
+    def test_inflight_response_survives_fail_fast_and_ends_the_connection(
+            self):
+        async def scenario():
+            server = ReplicaServer("api/cluster-1", fast_profile(0.1),
+                                   random.Random(1), FakeClock())
+            port = await server.start(PORT_BASE + 25)
+            transport = HttpTransport()
+            try:
+                inflight = asyncio.ensure_future(transport("127.0.0.1", port))
+                while not server.inflight:
+                    await asyncio.sleep(0.005)
+                await server.crash("fail_fast")
+                assert await inflight
+                # Answered with Connection: close — nothing to pool.
+                assert transport.client.idle_connections == 0
+            finally:
+                await transport.client.aclose()
+                await server.stop()
+
+        asyncio.run(scenario())
+
+    def test_blackhole_swallows_requests_on_a_pooled_connection(self):
+        async def scenario():
+            server = replica_server()
+            port = await server.start(PORT_BASE + 30)
+            transport = HttpTransport()
+            try:
+                assert await transport("127.0.0.1", port)
+                await server.crash("blackhole")
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(transport("127.0.0.1", port), 0.1)
+                # The request rode the kept-alive connection (the
+                # listener never saw a second one) and its handler is
+                # parked, not answering.
+                assert transport.client.connections_opened == 1
+                assert transport.client.idle_connections == 0
+                assert len(server._handlers) == 1
+                await server.restart()
+                for _ in range(100):
+                    if not server._handlers:
+                        break
+                    await asyncio.sleep(0.01)
+                assert not server._handlers
+                assert await transport("127.0.0.1", port)
+            finally:
+                await transport.client.aclose()
+                await server.stop()
+            assert server.requests_served == 2
+
+        asyncio.run(scenario())
+
+    def test_connection_close_request_gets_one_response_then_eof(self):
+        async def scenario():
+            server = replica_server()
+            port = await server.start(PORT_BASE + 35)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(b"GET /work HTTP/1.1\r\nHost: x\r\n"
+                             b"Connection: close\r\n\r\n")
+                data = await asyncio.wait_for(reader.read(), 2.0)
+            finally:
+                writer.close()
+                await server.stop()
+            assert data.startswith(b"HTTP/1.1 200 OK\r\n")
+            assert b"\r\nConnection: close\r\n" in data
+            assert data.endswith(b"\r\n\r\nok\n")
+            assert data.count(b"HTTP/1.1") == 1
+
+        asyncio.run(scenario())
+
+    def test_keep_alive_responses_do_not_say_close(self):
+        async def scenario():
+            server = replica_server()
+            port = await server.start(PORT_BASE + 38)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                for _ in range(2):
+                    writer.write(b"GET /work HTTP/1.1\r\nHost: x\r\n\r\n")
+                    head = await asyncio.wait_for(
+                        reader.readuntil(b"\r\n\r\n"), 2.0)
+                    assert b"Connection" not in head
+                    assert await reader.readexactly(3) == b"ok\n"
+            finally:
+                writer.close()
                 await server.stop()
 
         asyncio.run(scenario())

@@ -157,6 +157,9 @@ class TestLiveCommand:
         assert payload["leaked_tasks"] == []
         assert payload["requests"] > 0
         assert len(payload["ports"]) == 4
+        # 4 scrape targets + a few proxy connections, each reused.
+        assert 0 < payload["connections_opened"] < payload["requests"] / 2
+        assert payload["connection_reuse_ratio"] > 0.5
 
     def test_live_rejects_unknown_algorithm(self):
         with pytest.raises(SystemExit):
