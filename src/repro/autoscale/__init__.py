@@ -13,9 +13,9 @@ capacity, both react to what the other did one scrape interval ago.
 The core (:class:`~repro.autoscale.controller.BackendAutoscaler`) is a
 clock-agnostic ``step(now)`` state machine with Kubernetes-HPA
 semantics — provisioning lag, scale-up/down stabilization windows,
-cold-start warmup, replica-seconds cost accounting — driven by three
-substrates: simulated benchmarks (:class:`SimAutoscaleSet`), the live
-socket testbed (:mod:`repro.autoscale.live`), and plain unit tests.
+cold-start warmup, replica-seconds cost accounting — driven by two
+substrates: simulated benchmarks (:class:`SimAutoscaleSet`) and plain
+unit tests (the live testbed does not autoscale; DESIGN.md §5i).
 Policies come from :class:`AutoscalePolicy` or the CLI ``--autoscale``
 spec grammar (:func:`parse_autoscale_spec`). Everything is strictly
 opt-in: with no policy configured, no loop, gauge, or RNG draw is

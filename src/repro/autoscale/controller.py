@@ -2,12 +2,10 @@
 
 :class:`BackendAutoscaler` is a pure ``step(now)`` state machine — it
 holds no reference to the simulator or to wall clocks, so the same core
-drives three substrates: the simulated benchmark coordinator
+drives the simulated benchmark coordinator
 (:class:`~repro.autoscale.driver.SimAutoscaleSet` starts one
-``sim.every`` loop per scaler), the live testbed
-(:class:`~repro.autoscale.live.LiveAutoscaler` ticks it from the harness
-loop), and deterministic unit tests that call ``step`` with hand-picked
-timestamps.
+``sim.every`` loop per scaler) and deterministic unit tests that call
+``step`` with hand-picked timestamps.
 
 Each step, in order:
 

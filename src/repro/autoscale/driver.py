@@ -4,8 +4,8 @@
 :class:`~repro.autoscale.controller.BackendAutoscaler` per covered
 cluster of a scenario deployment, exposes the ``replica_count`` gauge
 and ``autoscale_events`` counter to the scraper under each backend's
-``server|<backend>`` series (the same single-source names the live
-``/metrics`` pages use — :mod:`repro.telemetry.names`), and starts one
+``server|<backend>`` series (names from the one table,
+:mod:`repro.telemetry.names`), and starts one
 ``sim.every`` loop per scaler so every control loop ticks at its policy's
 own interval, concurrently with the weight controller's reconcile loop.
 

@@ -4,9 +4,8 @@ The :class:`~repro.autoscale.controller.BackendAutoscaler` manipulates a
 *target* through four members — ``replica_count``,
 ``capacity_per_replica``, ``add_replica(now)`` / ``remove_replica(now)``
 and ``tick_warmup(now)`` — so the same control loop scales a simulated
-mesh backend (:class:`SimBackendTarget`), a live asyncio replica server
-(:class:`~repro.autoscale.live.LiveCapacityTarget`), or a bare counter in
-a unit test.
+mesh backend (:class:`SimBackendTarget`) or a bare counter in a unit
+test.
 """
 
 from __future__ import annotations

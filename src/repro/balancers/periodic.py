@@ -39,14 +39,16 @@ class PeriodicSplitBalancer(Balancer):
     def pick(self, rng, now: float) -> str:
         return self.split.pick(rng)
 
-    def _tick(self, now: float) -> None:
+    def tick(self, now: float) -> None:
+        """One reconcile turn (skipped while paused); ``start`` runs it on
+        ``sim.every``, the live harness from its wall-clock tick."""
         if not self.controller.paused:
             self.controller.reconcile(now)
 
     def start(self, sim) -> None:
         if self._loop is None:
             self._loop = sim.every(
-                self.controller.config.reconcile_interval_s, self._tick)
+                self.controller.config.reconcile_interval_s, self.tick)
 
     def stop(self) -> None:
         if self._loop is not None:

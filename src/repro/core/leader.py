@@ -58,13 +58,14 @@ class LeaseLock:
         """Acquire (or renew) the lease; returns True if held afterwards.
 
         The current holder always renews; anyone else succeeds only once
-        the lease has expired.
+        the lease has expired. Like Kubernetes' ``leaseTransitions``, a
+        transition is recorded only when the holder identity changes.
         """
         now = self._now(now)
         current = self.holder(now)
         if current is not None and current != candidate:
             return False
-        if current != candidate:
+        if self._holder != candidate:
             self.transitions.append((now, candidate))
         self._holder = candidate
         self._expires_at = now + self.ttl_s

@@ -1,7 +1,8 @@
 """The live localhost testbed: the real L3 control plane over sockets.
 
-Runs the **unmodified** controller stack — ``L3Controller``,
-``PromMetricsSource``, ``TimeSeriesStore`` — against a real networked
+Runs the **unmodified** control plane — ``L3Balancer`` with its
+``L3Controller`` and ``TrafficSplit``, ``PromMetricsSource``,
+``TimeSeriesStore`` — on a wall clock against a real networked
 mesh on localhost: asyncio HTTP replica servers whose latency/failure
 behaviour follows the same :class:`~repro.workloads.profiles.BackendProfile`
 schedules the simulator uses, a client-side weighted proxy speaking the
@@ -21,7 +22,6 @@ break, controller replicas crash out of the lease election). DESIGN.md
 
 from repro.live.chaos import LiveFaultInjector, LiveLinkShaper
 from repro.live.clock import FakeClock, WallClock
-from repro.live.control import ControllerStepper, LiveControlLoop, ha_replicas
 from repro.live.exposition import parse_exposition, render_exposition
 from repro.live.harness import (
     LIVE_ALGORITHMS,
@@ -36,27 +36,22 @@ from repro.live.loadgen import LiveLoadGenerator
 from repro.live.proxy import HttpTransport, LiveProxy
 from repro.live.scrape import HttpScraper, fetch_metrics
 from repro.live.server import MetricsServer, ReplicaServer, start_http_server
-from repro.live.split import LiveTrafficSplit
 
 __all__ = [
     "LIVE_ALGORITHMS",
-    "ControllerStepper",
     "FakeClock",
     "HttpScraper",
     "HttpTransport",
     "LiveConfig",
-    "LiveControlLoop",
     "LiveFaultInjector",
     "LiveHarness",
     "LiveLinkShaper",
     "LiveLoadGenerator",
     "LiveProxy",
-    "LiveTrafficSplit",
     "MetricsServer",
     "ReplicaServer",
     "WallClock",
     "fetch_metrics",
-    "ha_replicas",
     "live_c3_config",
     "live_l3_config",
     "parse_exposition",

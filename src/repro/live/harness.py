@@ -6,9 +6,9 @@ Boots N "clusters" as asyncio HTTP replica servers on localhost ports
 open-loop load through a client-side weighted proxy, exposes the proxy's
 telemetry on a Prometheus text ``/metrics`` endpoint, scrapes it over
 HTTP into the existing :class:`~repro.telemetry.timeseries.TimeSeriesStore`,
-and runs the **unmodified** :class:`~repro.core.controller.L3Controller`
-(or the C3 adaptation, or plain round-robin) against it for a wall-clock
-duration — one controller implementation, two substrates.
+and runs the simulator's own :class:`~repro.balancers.l3.L3Balancer`
+(or C3, or plain round-robin) on a :class:`~repro.live.clock.WallClock`
+against it for a wall-clock duration — one control plane, two substrates.
 
 The run returns the same :class:`~repro.bench.coordinator.BenchmarkResult`
 the simulation coordinator emits, so every report/analysis path works on
@@ -16,6 +16,7 @@ live results unchanged. Shutdown is graceful: the load generator stops
 first, in-flight requests get a bounded drain, control loops are
 cancelled, listeners close — and the harness records whether anything
 leaked (:attr:`LiveHarness.leaked_tasks`, checked by the CI smoke job).
+A control tick that raised is re-raised once teardown is done.
 """
 
 from __future__ import annotations
@@ -23,23 +24,25 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field, replace
 
-from repro.balancers.c3 import C3Config, C3Controller
+from repro.balancers.base import Balancer
+from repro.balancers.c3 import C3Balancer, C3Config, C3Controller
+from repro.balancers.l3 import L3Balancer
+from repro.balancers.periodic import PeriodicSplitBalancer
 from repro.balancers.round_robin import RoundRobinBalancer
 from repro.bench.coordinator import SCENARIO_SERVICE, BenchmarkResult
 from repro.core.config import L3Config
 from repro.core.controller import L3Controller
+from repro.core.leader import ControllerReplica, LeaseLock
 from repro.errors import ConfigError, FaultSpecError
 from repro.faults.base import Fault
 from repro.faults.spec import parse_fault_spec, validate_fault_spec
 from repro.live.chaos import LiveFaultInjector, LiveLinkShaper
 from repro.live.clock import WallClock
-from repro.live.control import ControllerStepper, LiveControlLoop, ha_replicas
 from repro.live.exposition import render_exposition
 from repro.live.loadgen import LiveLoadGenerator
 from repro.live.proxy import LiveProxy
 from repro.live.scrape import HttpScraper
 from repro.live.server import MetricsServer, ReplicaServer
-from repro.live.split import LiveTrafficSplit
 from repro.mesh.cluster import backend_name as make_backend_name
 from repro.sim.rng import RngRegistry
 from repro.telemetry.query import PromMetricsSource
@@ -147,28 +150,24 @@ class LiveConfig:
     # Chaos: a --faults spec string or a parsed Fault list; times are
     # seconds into the run. None runs fault-free (no shaper, no task).
     faults: object = None
-    # Backoff shape of the proxy's retries (defaults: constant, as ever).
-    retry_backoff_multiplier: float = 1.0
-    retry_backoff_max_s: float | None = None
-    retry_jitter: bool = False
 
     def __post_init__(self):
+        """Reject every unrunnable value before a single port is bound."""
         if self.algorithm not in LIVE_ALGORITHMS:
             raise ConfigError(
                 f"algorithm must be one of {LIVE_ALGORITHMS}: "
                 f"{self.algorithm!r}")
-        if self.duration_s <= 0:
-            raise ConfigError(
-                f"duration must be positive: {self.duration_s}")
-        for name in ("scrape_interval_s", "reconcile_interval_s",
-                     "lease_ttl_s"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.drain_s < 0:
-            raise ConfigError(f"drain_s must be >= 0: {self.drain_s}")
-        if self.ha_replicas < 1:
-            raise ConfigError(
-                f"ha_replicas must be >= 1: {self.ha_replicas}")
+        for name in ("duration_s", "scrape_interval_s", "reconcile_interval_s",
+                     "lease_ttl_s", "rps", "request_timeout_s"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigError(f"{name} must be positive: {value}")
+        for name, floor in (("drain_s", 0), ("max_retries", 0),
+                            ("retry_backoff_s", 0), ("ha_replicas", 1),
+                            ("replica_capacity", 1)):
+            if getattr(self, name) < floor:
+                raise ConfigError(
+                    f"{name} must be >= {floor}: {getattr(self, name)}")
         if not 0 < self.port_base < 65536 - 256:
             raise ConfigError(f"port_base out of range: {self.port_base}")
 
@@ -180,15 +179,17 @@ class _LiveParts:
     servers: dict[str, ReplicaServer] = field(default_factory=dict)
     metrics_server: MetricsServer | None = None
     proxy: LiveProxy | None = None
-    split: LiveTrafficSplit | None = None
+    balancer: Balancer | None = None
     controllers: list = field(default_factory=list)
-    replicas: list = field(default_factory=list)
-    lease: object | None = None
+    replicas: list[ControllerReplica] = field(default_factory=list)
+    lease: LeaseLock | None = None
     scraper: HttpScraper | None = None
-    control: LiveControlLoop | None = None
+    # The WallClock.every handles: the scrape loop and the control tick.
+    loops: list = field(default_factory=list)
     loadgen: LiveLoadGenerator | None = None
     shaper: LiveLinkShaper | None = None
     injector: LiveFaultInjector | None = None
+    chaos: asyncio.Task | None = None
 
 
 class LiveHarness:
@@ -200,9 +201,12 @@ class LiveHarness:
             scenario = build_scenario(scenario)
         self.scenario = scenario
         self.config = config or LiveConfig()
-        self.clock = None
+        self.clock: WallClock | None = None
         self.records: list = []
         self.parts = _LiveParts()
+        # The split's applied-weight trajectory as (now, weights), one
+        # entry per applied reconcile (empty for round-robin).
+        self.weight_history: list[tuple[float, dict[str, int]]] = []
         # Post-run shutdown accounting, read by the CLI and CI smoke job.
         self.leaked_tasks: list[str] = []
         self.ports: list[int] = []
@@ -257,10 +261,6 @@ class LiveHarness:
                     f"each live backend is a single server (index 0)")
         return faults
 
-    def _backend_addresses(self) -> list[str]:
-        return [make_backend_name(SCENARIO_SERVICE, cluster)
-                for cluster in self.scenario.clusters()]
-
     async def _boot_servers(self, rng: RngRegistry) -> dict[str, tuple]:
         """Start one replica server per cluster; returns name → address."""
         config = self.config
@@ -279,32 +279,41 @@ class LiveHarness:
             next_port = port + 1
         return addresses
 
-    def _build_control_plane(self, backend_names, store: TimeSeriesStore):
-        """Picker + controllers for the configured algorithm."""
+    def _build_balancer(self, backend_names, store: TimeSeriesStore,
+                        ) -> Balancer:
+        """The algorithm's balancer on the wall clock, at zero propagation.
+
+        HA mode adds standby controllers on the same split, each wrapped
+        in a :class:`~repro.core.leader.ControllerReplica` over one lease.
+        """
         config = self.config
         if config.algorithm == "round-robin":
-            return RoundRobinBalancer(backend_names), []
-
-        split = LiveTrafficSplit(SCENARIO_SERVICE, backend_names)
-        self.parts.split = split
+            return RoundRobinBalancer(backend_names)
         source = PromMetricsSource(store, scope=config.client_cluster)
-
-        def build_controller():
-            if config.algorithm == "c3":
-                return C3Controller(
-                    list(backend_names), source, split,
-                    config=live_c3_config(config.reconcile_interval_s,
-                                          config.scrape_interval_s))
-            l3 = live_l3_config(config.reconcile_interval_s,
-                                base=config.l3_config,
-                                scrape_interval_s=config.scrape_interval_s)
-            l3 = replace(l3, use_peak_ewma=(config.algorithm == "l3-peak"))
-            return L3Controller(list(backend_names), source, split,
-                                config=l3, start_time=0.0)
-
-        controllers = [build_controller()
-                       for _ in range(config.ha_replicas)]
-        return split, controllers
+        if config.algorithm == "c3":
+            make, standby = C3Balancer, C3Controller
+            controller_config = live_c3_config(config.reconcile_interval_s,
+                                               config.scrape_interval_s)
+        else:
+            make, standby = L3Balancer, L3Controller
+            controller_config = replace(
+                live_l3_config(config.reconcile_interval_s,
+                               base=config.l3_config,
+                               scrape_interval_s=config.scrape_interval_s),
+                use_peak_ewma=(config.algorithm == "l3-peak"))
+        balancer = make(self.clock, SCENARIO_SERVICE, backend_names, source,
+                        config=controller_config, propagation_delay_s=0.0)
+        self.parts.controllers = [balancer.controller] + [
+            standby(list(backend_names), source, balancer.split,
+                    config=balancer.config, start_time=self.clock.now)
+            for _ in range(config.ha_replicas - 1)]
+        if config.ha_replicas > 1:
+            lease = LeaseLock(ttl_s=config.lease_ttl_s, clock=self.clock)
+            self.parts.lease = lease
+            self.parts.replicas = [
+                ControllerReplica(f"replica-{i}", controller, lease)
+                for i, controller in enumerate(self.parts.controllers)]
+        return balancer
 
     # -------------------------------------------------------------- run #
 
@@ -313,88 +322,86 @@ class LiveHarness:
         return asyncio.run(self.run_async())
 
     async def run_async(self) -> BenchmarkResult:
+        """Boot, load, tear down; re-raises a control tick's exception.
+
+        Teardown runs however the run ends, a half-done boot included.
+        """
+        self.clock = WallClock()
+        faults = self._parse_faults()
+        try:
+            await self._boot(faults)
+            await self.parts.loadgen.run(self.config.duration_s)
+        finally:
+            await self._shutdown()
+        for loop in self.parts.loops:
+            if loop.error is not None:
+                raise loop.error
+        return self._result()
+
+    async def _boot(self, faults: list[Fault]) -> None:
         config = self.config
-        self.clock = self.clock or WallClock()
+        parts = self.parts
         rng = RngRegistry(config.seed)
         store = TimeSeriesStore()
-        faults = self._parse_faults()
-
         addresses = await self._boot_servers(rng)
-        backend_names = list(addresses)
-        picker, controllers = self._build_control_plane(
-            backend_names, store)
-        self.parts.controllers = controllers
+        parts.balancer = balancer = self._build_balancer(
+            list(addresses), store)
 
-        shaper = LiveLinkShaper() if faults else None
-        self.parts.shaper = shaper
-        proxy = LiveProxy(
+        parts.shaper = LiveLinkShaper() if faults else None
+        parts.proxy = proxy = LiveProxy(
             config.client_cluster, SCENARIO_SERVICE, addresses,
-            picker, rng.stream("live-proxy"), self.clock,
+            balancer, rng.stream("live-proxy"), self.clock,
             max_retries=config.max_retries,
             retry_backoff_s=config.retry_backoff_s,
-            retry_backoff_multiplier=config.retry_backoff_multiplier,
-            retry_backoff_max_s=config.retry_backoff_max_s,
-            retry_jitter=config.retry_jitter,
             request_timeout_s=config.request_timeout_s,
             outlier_ejection=config.outlier_ejection,
-            link=shaper)
-        self.parts.proxy = proxy
+            link=parts.shaper)
 
-        metrics_server = MetricsServer(
+        parts.metrics_server = MetricsServer(
             lambda: render_exposition(proxy.telemetry_bundles()),
             host=config.host)
-        metrics_port = await metrics_server.start(
+        metrics_port = await parts.metrics_server.start(
             max(self.ports, default=config.port_base) + 1)
-        self.parts.metrics_server = metrics_server
         self.ports.append(metrics_port)
 
         targets = [(config.host, metrics_port)] + list(addresses.values())
-        scraper = HttpScraper(store, targets, self.clock,
-                              interval_s=config.scrape_interval_s)
-        self.parts.scraper = scraper
-
-        control = None
-        if controllers:
-            if config.ha_replicas > 1:
-                lease, replicas = ha_replicas(
-                    controllers, config.lease_ttl_s, self.clock)
-                self.parts.lease = lease
-                self.parts.replicas = replicas
-                steppers = replicas
-            else:
-                steppers = [ControllerStepper(controllers[0])]
-            control = LiveControlLoop(steppers, self.clock,
-                                     config.reconcile_interval_s)
-        self.parts.control = control
+        parts.scraper = HttpScraper(store, targets, self.clock,
+                                    interval_s=config.scrape_interval_s)
 
         rps = self.scenario.rps if config.rps is None else config.rps
-        loadgen = LiveLoadGenerator(
+        parts.loadgen = LiveLoadGenerator(
             proxy, rps, rng.stream("live-loadgen"), self.records,
             self.clock, arrival=config.arrival)
-        self.parts.loadgen = loadgen
 
-        chaos_task = None
         if faults:
-            injector = LiveFaultInjector(
-                SCENARIO_SERVICE, self.parts.servers, shaper, self.clock,
-                metrics_server=metrics_server, controllers=controllers,
-                replicas=self.parts.replicas)
-            injector.schedule_all(faults)
-            self.parts.injector = injector
-            chaos_task = asyncio.ensure_future(injector.run())
-            chaos_task.set_name("chaos-injector")
+            parts.injector = LiveFaultInjector(
+                SCENARIO_SERVICE, parts.servers, parts.shaper, self.clock,
+                metrics_server=parts.metrics_server,
+                controllers=parts.controllers, replicas=parts.replicas)
+            parts.injector.schedule_all(faults)
+            parts.chaos = asyncio.ensure_future(parts.injector.run())
+            parts.chaos.set_name("chaos-injector")
 
-        scrape_task = asyncio.ensure_future(scraper.run())
-        control_task = (asyncio.ensure_future(control.run())
-                        if control is not None else None)
-        try:
-            await loadgen.run(config.duration_s)
-        finally:
-            await self._shutdown(scrape_task, control_task, chaos_task)
-        return self._result()
+        parts.loops.append(
+            self.clock.every(parts.scraper.interval_s, parts.scraper.tick))
+        if isinstance(balancer, PeriodicSplitBalancer):
+            parts.loops.append(self.clock.every(
+                config.reconcile_interval_s, self._control_tick))
 
-    async def _shutdown(self, scrape_task, control_task,
-                        chaos_task=None) -> None:
+    def _control_tick(self, now: float) -> None:
+        """One reconcile turn (the balancer's, or each HA replica's);
+        records the split's weights when the turn applied an update."""
+        split = self.parts.balancer.split
+        applied = split.update_count
+        if self.parts.replicas:
+            for replica in self.parts.replicas:
+                replica.step(now)
+        else:
+            self.parts.balancer.tick(now)
+        if split.update_count != applied:
+            self.weight_history.append((now, split.weights))
+
+    async def _shutdown(self) -> None:
         """Drain in-flight requests, stop loops, release ports.
 
         The chaos injector dies first — no new faults land mid-teardown
@@ -402,43 +409,43 @@ class LiveHarness:
         /metrics pages, partitioned links) is released, so requests
         parked on injected silence resolve during the drain instead of
         showing up in the leak report. A run that ends with a replica
-        still crashed must exit as clean as a fault-free one.
+        still crashed must exit as clean as a fault-free one. Parts a
+        failed boot never built are skipped.
         """
-        config = self.config
-        if chaos_task is not None:
-            chaos_task.cancel()
-            await asyncio.gather(chaos_task, return_exceptions=True)
-        if self.parts.injector is not None:
-            self.parts.injector.close()
-        if self.parts.shaper is not None:
-            self.parts.shaper.release()
-        for server in self.parts.servers.values():
+        parts = self.parts
+        if parts.chaos is not None:
+            parts.chaos.cancel()
+            await asyncio.gather(parts.chaos, return_exceptions=True)
+        if parts.injector is not None:
+            parts.injector.close()
+        if parts.shaper is not None:
+            parts.shaper.release()
+        for server in parts.servers.values():
             server.release_stalls()
-        if self.parts.metrics_server is not None:
-            self.parts.metrics_server.release_stalls()
-        loadgen = self.parts.loadgen
+        if parts.metrics_server is not None:
+            parts.metrics_server.release_stalls()
+        loadgen = parts.loadgen
         if loadgen is not None and loadgen.inflight:
             _done, pending = await asyncio.wait(
-                set(loadgen.inflight), timeout=config.drain_s)
+                set(loadgen.inflight), timeout=self.config.drain_s)
             for task in pending:
                 task.cancel()
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
 
-        background = [t for t in (scrape_task, control_task)
-                      if t is not None]
-        for task in background:
-            task.cancel()
-        await asyncio.gather(*background, return_exceptions=True)
+        for loop in parts.loops:
+            loop.cancel()
+        if parts.scraper is not None:
+            await parts.scraper.cancel_rounds()
 
         # Client pools go before the servers: a parked connection is an
         # idle handler on the other side, and both ends should be gone
         # by the time the leak report is taken.
         for client in self.http_clients():
             await client.aclose()
-        if self.parts.metrics_server is not None:
-            await self.parts.metrics_server.stop()
-        for server in self.parts.servers.values():
+        if parts.metrics_server is not None:
+            await parts.metrics_server.stop()
+        for server in parts.servers.values():
             await server.stop()
 
         current = asyncio.current_task()
@@ -472,12 +479,6 @@ class LiveHarness:
         """Share of HTTP requests that rode an already-open connection."""
         sent = sum(c.requests_sent for c in self.http_clients())
         return 1.0 - self.connections_opened / sent if sent else 0.0
-
-    @property
-    def weight_history(self) -> list[tuple[float, dict[str, int]]]:
-        """The split's applied-weight trajectory (empty for round-robin)."""
-        split = self.parts.split
-        return list(split.history) if split is not None else []
 
     @property
     def fault_log(self) -> list[tuple[float, str]]:

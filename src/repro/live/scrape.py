@@ -1,6 +1,7 @@
 """The live scrape loop: HTTP /metrics pages into the TimeSeriesStore.
 
-The wall-clock twin of :class:`repro.telemetry.scraper.Scraper`: every
+The wall-clock twin of :class:`repro.telemetry.scraper.Scraper`, ticked
+the same way (``clock.every(interval_s, scraper.tick)``): every
 ``interval_s`` it fetches each target's ``/metrics`` page over a real
 socket, parses the Prometheus text exposition
 (:mod:`repro.live.exposition`) and appends the page into the shared
@@ -94,6 +95,7 @@ class HttpScraper:
         self.failed_scrapes = 0
         self.stale_drops = 0
         self._last_stamp: dict[tuple[str, int], float] = {}
+        self._rounds: set[asyncio.Task] = set()
 
     async def _scrape_target(self, host: str, port: int,
                              now: float) -> bool:
@@ -138,23 +140,18 @@ class HttpScraper:
         self.scrape_count += 1
         return sum(results)
 
-    async def run(self) -> None:
-        """Scrape forever on the configured cadence (cancel to stop).
+    def tick(self, now: float) -> None:
+        """Start one round as its own tracked task, so rounds keep the
+        cadence however long the last one takes: a stalled target cannot
+        starve the controller of everyone else's fresh telemetry (the
+        fetch timeout bounds how many rounds overlap)."""
+        round_task = asyncio.ensure_future(self.scrape_once(now))
+        self._rounds.add(round_task)
+        round_task.add_done_callback(self._rounds.discard)
 
-        Rounds fire on the cadence regardless of how long the previous
-        round takes: each round runs as its own task, so one stalled
-        target cannot starve the controller of everyone else's fresh
-        telemetry (the fetch timeout bounds how many rounds overlap).
-        """
-        rounds: set[asyncio.Task] = set()
-        try:
-            while True:
-                await asyncio.sleep(self.interval_s)
-                round_task = asyncio.ensure_future(self.scrape_once())
-                rounds.add(round_task)
-                round_task.add_done_callback(rounds.discard)
-        finally:
-            for round_task in list(rounds):
-                round_task.cancel()
-            if rounds:
-                await asyncio.gather(*rounds, return_exceptions=True)
+    async def cancel_rounds(self) -> None:
+        """Cancel and reap every outstanding round (teardown)."""
+        rounds = list(self._rounds)
+        for round_task in rounds:
+            round_task.cancel()
+        await asyncio.gather(*rounds, return_exceptions=True)

@@ -221,14 +221,6 @@ class ReplicaServer(_HttpServerBase):
         self.clock = clock
         self.capacity = capacity
         self._slots = asyncio.Semaphore(capacity)
-        # Permits to retire lazily after a capacity shrink: instead of
-        # releasing its slot, a finishing request pays one unit of debt.
-        self._capacity_debt = 0
-        # How many logical replicas this deployment currently stands in
-        # for — the live replica_count gauge. A live autoscaler
-        # (repro.autoscale.live.LiveCapacityTarget) resizes capacity in
-        # replica-sized quanta and keeps this in step.
-        self.replica_units = 1
         # Requests executing or queued — the server-side feedback gauge.
         self.inflight = 0
         self.requests_served = 0
@@ -290,27 +282,6 @@ class ReplicaServer(_HttpServerBase):
             return 404, b"not found\n"
         return await self._work()
 
-    def set_capacity(self, capacity: int) -> None:
-        """Resize the concurrency limit (live horizontal scaling).
-
-        Growth releases fresh permits immediately; shrinkage takes
-        effect as in-flight requests drain — each finishing request
-        retires one over-quota slot instead of releasing it, so nothing
-        already executing is interrupted (connection draining).
-        """
-        if capacity < 1:
-            raise MeshError(f"capacity must be >= 1: {capacity}")
-        delta = capacity - self.capacity
-        self.capacity = capacity
-        if delta > 0:
-            # Growth first pays down any outstanding retirement debt.
-            settled = min(self._capacity_debt, delta)
-            self._capacity_debt -= settled
-            for _ in range(delta - settled):
-                self._slots.release()
-        else:
-            self._capacity_debt += -delta
-
     async def _work(self) -> tuple[int, bytes]:
         self.inflight += 1
         await self._slots.acquire()
@@ -325,10 +296,7 @@ class ReplicaServer(_HttpServerBase):
             self.requests_served += 1
             return 200, b"ok\n"
         finally:
-            if self._capacity_debt > 0:
-                self._capacity_debt -= 1
-            else:
-                self._slots.release()
+            self._slots.release()
             self.inflight -= 1
 
     def render_metrics(self) -> str:
@@ -337,9 +305,7 @@ class ReplicaServer(_HttpServerBase):
         return render_exposition(
             targets=(),
             gauges=[(series, metric_names.SERVER_QUEUE,
-                     lambda: self.inflight),
-                    (series, metric_names.REPLICA_COUNT,
-                     lambda: self.replica_units)])
+                     lambda: self.inflight)])
 
 
 class MetricsServer(_HttpServerBase):

@@ -9,7 +9,8 @@ from which L3's metrics are collected (latency as perceived by the
 *client-side* proxy, including WAN and queueing). This module holds the
 proxy's configuration and state; the lifecycle itself — one state machine
 per request, started by :meth:`ClientProxy.dispatch` — is
-:mod:`repro.mesh.fastdispatch`.
+:mod:`repro.mesh.fastdispatch`; its policy, :class:`ProxyPolicy`, is
+shared with the live :class:`~repro.live.proxy.LiveProxy`.
 
 Resilience knobs (both off by default, preserving the paper's evaluated
 configuration):
@@ -40,24 +41,25 @@ from repro.mesh.cluster import split_backend_name
 from repro.mesh.ejection import OutlierEjectionConfig, OutlierEjector
 from repro.mesh.fastdispatch import _RequestMachine
 from repro.telemetry.metrics import BackendTelemetry
+from repro.telemetry.names import scoped_series_name
 
 
-class ClientProxy:
-    """Routes one service's outgoing traffic from one source cluster."""
+class ProxyPolicy:
+    """What a client-side proxy decides, whatever carries the bytes:
+    knobs, scoped telemetry, ejector, request ids and the fail-open
+    pick. :class:`ClientProxy` and the live ``LiveProxy`` add transport."""
 
-    def __init__(self, mesh, source_cluster: str, service: str,
-                 balancer: Balancer, rng,
-                 forward_overhead_s: float = 0.0002,
-                 max_retries: int = 0, retry_backoff_s: float = 0.0,
+    def __init__(self, source_cluster: str, service: str, backend_names,
+                 balancer: Balancer, rng, max_retries: int = 0,
+                 retry_backoff_s: float = 0.0,
                  request_timeout_s: float | None = None,
                  outlier_ejection: OutlierEjectionConfig | None = None):
         """Args:
-            mesh: the owning :class:`~repro.mesh.mesh.ServiceMesh`.
             source_cluster: cluster this proxy lives in.
             service: the destination service this proxy routes to.
+            backend_names: the service's backends.
             balancer: backend-selection policy.
             rng: private random stream (weighted picks, network jitter).
-            forward_overhead_s: per-request proxy forwarding cost.
             max_retries: client retries on failed responses (0 reproduces
                 the paper's benchmarks, which do not retry — §5.2.1; the
                 retry model is what Eq. 3's penalty factor assumes).
@@ -74,30 +76,77 @@ class ClientProxy:
         if request_timeout_s is not None and request_timeout_s <= 0:
             raise MeshError(
                 f"request timeout must be positive: {request_timeout_s}")
-        self.mesh = mesh
         self.source_cluster = source_cluster
         self.service = service
         self.balancer = balancer
         self.rng = rng
-        self.forward_overhead_s = forward_overhead_s
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
         self.request_timeout_s = request_timeout_s
         self.timeouts = 0
         self._request_ids = itertools.count()
-        deployment = mesh.deployment(service)
         # Telemetry is scoped by source cluster: each cluster's controller
         # must see latency from its own vantage point (a remote backend is
         # slow *from here*, fast from its own cluster).
         self.telemetry: dict[str, BackendTelemetry] = {
             name: BackendTelemetry(
-                name, scrape_name=f"{source_cluster}|{name}")
-            for name in deployment.backend_names()
+                name, scrape_name=scoped_series_name(source_cluster, name))
+            for name in backend_names
         }
         self.ejector: OutlierEjector | None = None
         if outlier_ejection is not None:
             self.ejector = OutlierEjector(
                 list(self.telemetry), outlier_ejection)
+
+    def telemetry_bundles(self) -> list[BackendTelemetry]:
+        """The per-backend bundles (a live proxy's /metrics page)."""
+        return list(self.telemetry.values())
+
+    def _pick_backend(self, now: float) -> tuple[str, int]:
+        """Balancer pick, filtered through the outlier ejector if enabled.
+
+        When the pick is ejected the balancer is asked again a bounded
+        number of times; if every draw is ejected the proxy *fails open*
+        and sends anyway — blackholing all traffic on the say-so of a local
+        breaker would be worse than probing a possibly-dead backend.
+
+        Returns ``(backend_name, ejection_skips)`` — the number of
+        ejected draws that were passed over before this pick (surfaced
+        on the attempt span so traces explain "why not the obvious
+        backend").
+        """
+        backend_name = self.balancer.pick(self.rng, now)
+        if self.ejector is None or self.ejector.admit(backend_name, now):
+            return backend_name, 0
+        skips = 1
+        for _ in range(3 * len(self.telemetry)):
+            candidate = self.balancer.pick(self.rng, now)
+            if self.ejector.admit(candidate, now):
+                return candidate, skips
+            skips += 1
+        return backend_name, skips
+
+
+class ClientProxy(ProxyPolicy):
+    """Routes one service's outgoing traffic from one source cluster."""
+
+    def __init__(self, mesh, source_cluster: str, service: str,
+                 balancer: Balancer, rng,
+                 forward_overhead_s: float = 0.0002,
+                 max_retries: int = 0, retry_backoff_s: float = 0.0,
+                 request_timeout_s: float | None = None,
+                 outlier_ejection: OutlierEjectionConfig | None = None):
+        """``mesh`` is the owning :class:`~repro.mesh.mesh.ServiceMesh`,
+        ``forward_overhead_s`` the per-request forwarding cost; the rest
+        are :class:`ProxyPolicy`'s."""
+        super().__init__(
+            source_cluster, service,
+            mesh.deployment(service).backend_names(), balancer, rng,
+            max_retries=max_retries, retry_backoff_s=retry_backoff_s,
+            request_timeout_s=request_timeout_s,
+            outlier_ejection=outlier_ejection)
+        self.mesh = mesh
+        self.forward_overhead_s = forward_overhead_s
         # What the request machines pre-bind, and their free lists.
         pool = mesh.sim.pool
         self._sched = pool.schedule
@@ -167,27 +216,3 @@ class ClientProxy:
             found = (backend, target_cluster, telemetry)
             self._targets[backend_name] = found
         return found
-
-    def _pick_backend(self, now: float) -> tuple[str, int]:
-        """Balancer pick, filtered through the outlier ejector if enabled.
-
-        When the pick is ejected the balancer is asked again a bounded
-        number of times; if every draw is ejected the proxy *fails open*
-        and sends anyway — blackholing all traffic on the say-so of a local
-        breaker would be worse than probing a possibly-dead backend.
-
-        Returns ``(backend_name, ejection_skips)`` — the number of
-        ejected draws that were passed over before this pick (surfaced
-        on the attempt span so traces explain "why not the obvious
-        backend").
-        """
-        backend_name = self.balancer.pick(self.rng, now)
-        if self.ejector is None or self.ejector.admit(backend_name, now):
-            return backend_name, 0
-        skips = 1
-        for _ in range(3 * len(self.telemetry)):
-            candidate = self.balancer.pick(self.rng, now)
-            if self.ejector.admit(candidate, now):
-                return candidate, skips
-            skips += 1
-        return backend_name, skips

@@ -63,6 +63,20 @@ class TestLeaseLock:
         lease.try_acquire("b", now=20.0)  # takeover
         assert lease.transitions == [(0.0, "a"), (20.0, "b")]
 
+    def test_same_holder_reacquiring_an_expired_lease_is_no_transition(self):
+        # Two replicas stepping every 1.2 s over a 1 s TTL: the leader's
+        # lease lapses between its own steps, and it takes it straight
+        # back each time — leadership never changes hands.
+        lease = LeaseLock(ttl_s=1.0)
+        for step in range(4):
+            now = 1.2 * step
+            assert lease.try_acquire("replica-0", now=now)
+            assert not lease.try_acquire("replica-1", now=now)
+        assert lease.transitions == [(0.0, "replica-0")]
+        # A real change of holder still counts.
+        assert lease.try_acquire("replica-1", now=10.0)
+        assert lease.transitions == [(0.0, "replica-0"), (10.0, "replica-1")]
+
 
 class TestWallClockLease:
     """The live testbed's HA mode: the lease reads an attached clock."""

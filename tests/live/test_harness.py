@@ -8,10 +8,13 @@ uniformly. Runs use a fast control cadence so a few wall-clock seconds
 cover many reconcile cycles.
 """
 
+import socket
+
 import pytest
 
 from repro.bench.coordinator import BenchmarkResult
-from repro.errors import ConfigError
+from repro.core.controller import L3Controller
+from repro.errors import ConfigError, MeshError
 from repro.live.harness import (
     LiveConfig,
     LiveHarness,
@@ -19,6 +22,7 @@ from repro.live.harness import (
     run_live,
     weight_points,
 )
+from repro.live.server import MetricsServer
 from repro.workloads.profiles import BackendProfile, constant_series
 from repro.workloads.scenarios import Scenario
 
@@ -44,11 +48,20 @@ def degraded_scenario(base_s=0.040, factor=5.0):
                     "one 5x-degraded backend")
 
 
-def fast_config(algorithm, port_base, duration_s):
+def fast_config(algorithm, port_base, duration_s, **overrides):
     return LiveConfig(
         algorithm=algorithm, duration_s=duration_s, port_base=port_base,
         rps=60.0, scrape_interval_s=0.5, reconcile_interval_s=0.5,
-        drain_s=3.0, seed=1)
+        drain_s=3.0, seed=1, **overrides)
+
+
+def port_is_free(port):
+    with socket.socket() as probe:
+        try:
+            probe.bind(("127.0.0.1", port))
+        except OSError:
+            return False
+    return True
 
 
 class TestLiveSmoke:
@@ -124,6 +137,74 @@ class TestLiveSmoke:
         # Ports were allocated for 3 replicas plus the metrics endpoint.
         assert len(harness.ports) == 4
 
+    @pytest.mark.parametrize("ha_replicas,port_base", [
+        (1, PORT_BASE + 80), (2, PORT_BASE + 88)], ids=["plain", "ha"])
+    def test_weight_history_has_one_entry_per_applied_reconcile(
+            self, ha_replicas, port_base):
+        harness = LiveHarness(degraded_scenario(), fast_config(
+            "l3", port_base, duration_s=3.0, ha_replicas=ha_replicas))
+        harness.run()
+
+        assert harness.clean_shutdown, harness.leaked_tasks
+        reconciles = sum(c.reconcile_count
+                         for c in harness.parts.controllers)
+        assert reconciles >= 2
+        assert len(harness.weight_history) == reconciles
+        assert harness.parts.balancer.split.update_count == reconciles
+        times = [when for when, _weights in harness.weight_history]
+        assert times == sorted(times)
+        assert harness.weight_history[-1][1] == harness.final_weights()
+
+
+class TestLiveFailures:
+    """A run that cannot go on still tears down, then says why."""
+
+    def test_raising_reconcile_fails_the_run_after_a_clean_teardown(
+            self, monkeypatch):
+        calls = []
+        reconcile = L3Controller.reconcile
+
+        def flaky(self, now):
+            calls.append(now)
+            if len(calls) == 2:
+                raise RuntimeError("reconcile blew up")
+            return reconcile(self, now)
+
+        monkeypatch.setattr(L3Controller, "reconcile", flaky)
+        harness = LiveHarness(degraded_scenario(), fast_config(
+            "l3", PORT_BASE + 96, duration_s=2.0))
+        with pytest.raises(RuntimeError, match="reconcile blew up"):
+            harness.run()
+        # The loop died with its tick: one applied update, no more calls.
+        assert len(calls) == 2
+        assert len(harness.weight_history) == 1
+        assert harness.clean_shutdown, harness.leaked_tasks
+        assert all(port_is_free(port) for port in harness.ports)
+
+    @pytest.mark.parametrize("name,value", [
+        ("max_retries", -1), ("request_timeout_s", -1.0)])
+    def test_invalid_knob_is_a_config_error_with_no_port_bound(
+            self, name, value):
+        port_base = PORT_BASE + 104
+        with pytest.raises(ConfigError):
+            LiveHarness(degraded_scenario(), fast_config(
+                "l3", port_base, duration_s=1.0, **{name: value})).run()
+        assert port_is_free(port_base)
+
+    def test_boot_failure_after_the_first_bind_releases_the_ports(
+            self, monkeypatch):
+        async def refuse(self, port):
+            raise MeshError("no port for the metrics endpoint")
+
+        monkeypatch.setattr(MetricsServer, "start", refuse)
+        harness = LiveHarness(degraded_scenario(), fast_config(
+            "l3", PORT_BASE + 112, duration_s=1.0))
+        with pytest.raises(MeshError):
+            harness.run()
+        assert len(harness.ports) == 3  # the replicas did bind
+        assert all(port_is_free(port) for port in harness.ports)
+        assert harness.clean_shutdown, harness.leaked_tasks
+
 
 class TestLiveConfig:
     def test_unknown_algorithm_rejected(self):
@@ -161,3 +242,15 @@ class TestLiveConfig:
         # A window already wider than the floor is left alone.
         wide = live_l3_config(5.0, scrape_interval_s=0.5)
         assert wide.metrics_window_s == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("max_retries", -1), ("retry_backoff_s", -0.1),
+        ("request_timeout_s", 0.0), ("replica_capacity", 0),
+        ("rps", -5.0), ("rps", 0.0)])
+    def test_invalid_knobs_rejected(self, name, value):
+        with pytest.raises(ConfigError):
+            LiveConfig(**{name: value})
+
+    def test_optional_knobs_accept_none(self):
+        config = LiveConfig(rps=None, request_timeout_s=None)
+        assert config.rps is None and config.request_timeout_s is None

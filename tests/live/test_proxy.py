@@ -10,12 +10,13 @@ import asyncio
 
 import pytest
 
+from repro.balancers.base import Balancer
+from repro.balancers.static_weights import StaticWeightBalancer
 from repro.errors import MeshError
 from repro.live import httpwire
-from repro.live.clock import FakeClock
+from repro.live.clock import FakeClock, WallClock
 from repro.live.proxy import LiveProxy
 from repro.live.server import start_http_server
-from repro.live.split import LiveTrafficSplit
 from repro.mesh.ejection import OutlierEjectionConfig
 from repro.sim.rng import RngRegistry
 
@@ -45,11 +46,14 @@ class FakeTransport:
         return outcome
 
 
-def make_proxy(outcomes, clock=None, picker=None, **kwargs):
+def uniform(backends=BACKENDS):
+    return StaticWeightBalancer({name: 1 for name in backends})
+
+
+def make_proxy(outcomes, clock=None, balancer=None, **kwargs):
     transport = FakeTransport(outcomes)
     proxy = LiveProxy(
-        "cluster-1", "api", BACKENDS,
-        picker or LiveTrafficSplit("api", list(BACKENDS)),
+        "cluster-1", "api", BACKENDS, balancer or uniform(),
         RngRegistry(1).stream("test-proxy"), clock or FakeClock(),
         transport=transport, **kwargs)
     return proxy, transport
@@ -85,9 +89,9 @@ class TestDispatch:
         assert telemetry.success_latency.count == 0
 
     def test_routing_follows_split_weights(self):
-        split = LiveTrafficSplit("api", list(BACKENDS))
-        split.set_weights({"api/cluster-1": 1, "api/cluster-2": 0}, now=0.0)
-        proxy, transport = make_proxy([True] * 50, picker=split)
+        weighted = StaticWeightBalancer(
+            {"api/cluster-1": 1, "api/cluster-2": 0})
+        proxy, transport = make_proxy([True] * 50, balancer=weighted)
         for _ in range(50):
             assert dispatch(proxy).backend == "api/cluster-1"
         assert set(transport.calls) == {BACKENDS["api/cluster-1"]}
@@ -99,11 +103,11 @@ class TestDispatch:
                          "cluster-1|api/cluster-2"}
 
     def test_unknown_backend_from_picker_rejected(self):
-        class BadPicker:
+        class BadPicker(Balancer):
             def pick(self, rng, now):
                 return "api/cluster-9"
 
-        proxy, _ = make_proxy([True], picker=BadPicker())
+        proxy, _ = make_proxy([True], balancer=BadPicker())
         with pytest.raises(MeshError):
             dispatch(proxy)
 
@@ -211,10 +215,9 @@ class TestOutlierEjection:
         assert diverted >= 18
 
     def test_fail_open_when_everything_ejected(self):
-        split = LiveTrafficSplit("api", list(BACKENDS))
         clock = FakeClock()
         proxy, _ = make_proxy(
-            [OSError("down")] * 40, clock=clock, picker=split,
+            [OSError("down")] * 40, clock=clock,
             outlier_ejection=OutlierEjectionConfig(
                 consecutive_failures=1, ejection_s=1000.0, max_ejection_s=1000.0))
         for _ in range(10):
@@ -228,64 +231,36 @@ class TestOutlierEjection:
 
 
 class TestRetryBackoff:
-    """Capped exponential backoff with full jitter (chaos satellite)."""
+    """A constant ``retry_backoff_s`` between attempts, as in the simulator."""
 
-    def make(self, **kwargs):
-        proxy, _ = make_proxy([], **kwargs)
-        return proxy
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        slept = []
 
-    def test_default_is_the_historical_constant_backoff(self):
-        proxy = self.make(retry_backoff_s=0.2)
-        state = proxy.rng.getstate()
-        assert [proxy.backoff_delay(n) for n in (1, 2, 3, 5)] == [0.2] * 4
-        # No jitter configured: the rng stream is untouched.
-        assert proxy.rng.getstate() == state
+        async def fake_sleep(delay):
+            slept.append(delay)
 
-    def test_zero_base_never_sleeps_whatever_the_shape(self):
-        proxy = self.make(retry_backoff_multiplier=4.0, retry_jitter=True)
-        assert proxy.backoff_delay(1) == 0.0
-        assert proxy.backoff_delay(9) == 0.0
+        monkeypatch.setattr(asyncio, "sleep", fake_sleep)
+        return slept
 
-    def test_exponential_growth_per_attempt(self):
-        proxy = self.make(retry_backoff_s=0.1, retry_backoff_multiplier=2.0)
-        delays = [proxy.backoff_delay(n) for n in (1, 2, 3, 4)]
-        assert delays == pytest.approx([0.1, 0.2, 0.4, 0.8])
+    def test_default_is_the_historical_constant_backoff(self, sleeps):
+        proxy, _ = make_proxy([OSError("down")] * 4, max_retries=3,
+                              retry_backoff_s=0.2)
+        assert dispatch(proxy).attempts == 4
+        assert sleeps == [0.2] * 3
 
-    def test_cap_clamps_the_growth(self):
-        proxy = self.make(retry_backoff_s=0.1, retry_backoff_multiplier=2.0,
-                          retry_backoff_max_s=0.25)
-        delays = [proxy.backoff_delay(n) for n in (1, 2, 3, 4, 8)]
-        assert delays == pytest.approx([0.1, 0.2, 0.25, 0.25, 0.25])
-
-    def test_full_jitter_draws_uniformly_below_the_delay(self):
-        proxy = self.make(retry_backoff_s=0.1, retry_backoff_multiplier=2.0,
-                          retry_backoff_max_s=0.4, retry_jitter=True)
-        draws = [proxy.backoff_delay(4) for _ in range(200)]
-        assert all(0.0 <= d <= 0.4 for d in draws)
-        assert len(set(draws)) > 100          # actually random
-        assert max(draws) > 0.3               # spans the range
-        assert min(draws) < 0.1
-
-    def test_jitter_is_seeded_and_reproducible(self):
-        draws = []
-        for _ in range(2):
-            proxy = self.make(retry_backoff_s=0.1, retry_jitter=True)
-            draws.append([proxy.backoff_delay(1) for _ in range(20)])
-        assert draws[0] == draws[1]
-
-    def test_shape_validation(self):
-        with pytest.raises(MeshError):
-            self.make(retry_backoff_multiplier=0.5)
-        with pytest.raises(MeshError):
-            self.make(retry_backoff_max_s=0.0)
+    def test_zero_base_never_sleeps_whatever_the_shape(self, sleeps):
+        proxy, _ = make_proxy([OSError("down")] * 4, max_retries=3)
+        assert dispatch(proxy).attempts == 4
+        assert sleeps == []
 
     def test_dispatch_sleeps_the_computed_backoff(self):
-        proxy, _ = make_proxy([OSError("down"), True], max_retries=1,
-                              retry_backoff_s=0.01,
-                              retry_backoff_multiplier=2.0)
+        proxy, _ = make_proxy([OSError("down"), True], clock=WallClock(),
+                              max_retries=1, retry_backoff_s=0.01)
         record = dispatch(proxy)
         assert record.success
         assert record.attempts == 2
+        assert record.end_s - record.start_s >= 0.01
 
 
 class ScriptedServer:
@@ -351,8 +326,7 @@ def socket_proxy(port, **kwargs):
     """A LiveProxy with the real HttpTransport and one backend on ``port``."""
     backends = {"api/cluster-1": ("127.0.0.1", port)}
     return LiveProxy(
-        "cluster-1", "api", backends,
-        LiveTrafficSplit("api", list(backends)),
+        "cluster-1", "api", backends, uniform(backends),
         RngRegistry(1).stream("test-proxy"), FakeClock(), **kwargs)
 
 

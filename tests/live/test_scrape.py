@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import TelemetryError
 from repro.live import httpwire
-from repro.live.clock import FakeClock
+from repro.live.clock import FakeClock, WallClock
 from repro.live.exposition import render_exposition
 from repro.live.scrape import HttpScraper, fetch_metrics
 from repro.live.server import MetricsServer
@@ -223,27 +223,25 @@ class TestConcurrentRounds:
         assert latest[0] == 3.0  # only round 2's stamp; no back-in-time
 
     def test_run_cancels_outstanding_rounds(self):
-        """Cancelling the scrape loop reaps in-flight round tasks — the
+        """Rounds fire on the cadence while earlier ones still hang, and
+        cancelling the loop plus reaping the rounds leaves no task — the
         harness leak report must stay clean mid-stall."""
 
         async def scenario():
-            started = asyncio.Event()
+            fetches = []
 
             async def fetch(host, port):
-                started.set()
+                fetches.append(host)
                 await asyncio.Event().wait()  # hangs forever
 
             scraper = HttpScraper(TimeSeriesStore(), [("h", 1)],
                                   FakeClock(), interval_s=0.01,
                                   fetch=fetch)
-            loop_task = asyncio.ensure_future(scraper.run())
-            await started.wait()
-            loop_task.cancel()
-            try:
-                await loop_task
-            except asyncio.CancelledError:
-                pass
-            await asyncio.sleep(0)
+            loop = WallClock().every(scraper.interval_s, scraper.tick)
+            while len(fetches) < 3:
+                await asyncio.sleep(0.01)
+            loop.cancel()
+            await scraper.cancel_rounds()
             return [t for t in asyncio.all_tasks()
                     if t is not asyncio.current_task() and not t.done()]
 

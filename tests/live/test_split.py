@@ -1,26 +1,40 @@
-"""Tests for the wall-clock TrafficSplit (weighted routing table)."""
+"""Tests for the live split: TrafficSplit on a WallClock at zero delay.
+
+The harness builds its L3/C3 balancer on a :class:`WallClock` with
+``propagation_delay_s=0.0``; a WallClock has no agenda, so every weight
+write must apply synchronously and schedule nothing — a push that tried
+to schedule would fail right here, outside any event loop.
+"""
 
 import random
 from collections import Counter
 
 import pytest
 
+from repro.balancers.l3 import L3Balancer
 from repro.errors import ConfigError, MeshError
-from repro.live.split import LiveTrafficSplit
+from repro.live.clock import WallClock
+from repro.mesh.traffic_split import TrafficSplit
+from repro.telemetry.query import PromMetricsSource
+from repro.telemetry.timeseries import TimeSeriesStore
+
+
+def live_split(names):
+    return TrafficSplit(WallClock(), "api", names, propagation_delay_s=0.0)
 
 
 def split(*names):
-    return LiveTrafficSplit("api", names or ("a", "b", "c"))
+    return live_split(names or ("a", "b", "c"))
 
 
 class TestConstruction:
     def test_needs_backends(self):
         with pytest.raises(ConfigError):
-            LiveTrafficSplit("api", [])
+            live_split([])
 
     def test_rejects_duplicates(self):
         with pytest.raises(ConfigError):
-            LiveTrafficSplit("api", ["a", "a"])
+            live_split(["a", "a"])
 
     def test_starts_uniform(self):
         assert split().weights == {"a": 1, "b": 1, "c": 1}
@@ -31,6 +45,7 @@ class TestSetWeights:
         s = split()
         s.set_weights({"a": 5, "b": 0, "c": 2}, now=3.0)
         assert s.weights == {"a": 5, "b": 0, "c": 2}
+        assert s.update_count == 1
 
     def test_omitted_backends_keep_weight(self):
         s = split()
@@ -49,23 +64,13 @@ class TestSetWeights:
         with pytest.raises(MeshError):
             split().set_weights({"a": 1.5}, now=0.0)
 
-    def test_history_records_trajectory(self):
-        s = split()
-        s.set_weights({"a": 2}, now=1.0)
-        s.set_weights({"b": 7}, now=2.5)
-        assert s.history == [
-            (1.0, {"a": 2, "b": 1, "c": 1}),
-            (2.5, {"a": 2, "b": 7, "c": 1}),
-        ]
-        assert s.update_count == 2
-
 
 class TestPick:
     def test_zero_weight_backend_never_picked(self):
         s = split()
         s.set_weights({"a": 1, "b": 0, "c": 0}, now=0.0)
         rng = random.Random(7)
-        assert {s.pick(rng, now=1.0) for _ in range(200)} == {"a"}
+        assert {s.pick(rng) for _ in range(200)} == {"a"}
 
     def test_proportional_distribution(self):
         s = split()
@@ -84,5 +89,9 @@ class TestPick:
         assert all(count > 200 for count in counts.values())
 
     def test_matches_balancer_pick_shape(self):
-        # The proxy treats a split and a Balancer interchangeably.
-        assert split().pick(random.Random(1), 5.0) in {"a", "b", "c"}
+        # The proxy is handed the balancer that owns the split.
+        balancer = L3Balancer(
+            WallClock(), "api", ["a", "b", "c"],
+            PromMetricsSource(TimeSeriesStore()), propagation_delay_s=0.0)
+        balancer.split.set_weights({"a": 0, "b": 4, "c": 0}, now=0.0)
+        assert balancer.pick(random.Random(1), 5.0) == "b"
