@@ -7,7 +7,7 @@ Every ``reconcile_interval_s`` the controller:
 2. feeds them into the per-backend EWMAs, or — when a backend returned no
    metrics for long enough — decays that backend's filters toward their
    defaults;
-3. runs the weighting algorithm (Algorithm 1) over the filtered snapshots;
+3. runs the weighting algorithm (Algorithm 1) over the filtered values;
 4. runs the rate controller (Algorithm 2) using the EWMA vs. latest sample
    of the *total* RPS;
 5. writes integer weights into its :class:`WeightSink` (an SMI
@@ -29,7 +29,6 @@ from repro.core.config import L3Config
 from repro.core.ewma import Ewma, half_life_to_beta
 from repro.core.rate_control import apply_rate_control, relative_change
 from repro.core.state import BackendMetricState
-from repro.core.weighting import compute_weights
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,48 +158,52 @@ class L3Controller:
         last), ``degraded_reconciles`` increments, and the next reconcile
         tries again from scratch. Internal errors (bugs) still propagate.
         """
+        config = self.config
         try:
             samples = self.metrics_source.collect(
-                list(self.backends), now, self.config.metrics_window_s,
-                self.config.percentile)
+                list(self.backends), now, config.metrics_window_s,
+                config.percentile)
         except Exception as exc:  # noqa: BLE001 - degraded mode by design
             return self._degrade(exc, now)
 
+        failure_latency = self._failure_latency_reader()
         total_rps = 0.0
+        raw_weights = {}
         for name, state in self.backends.items():
             sample = samples.get(name)
             if sample is None:
                 if state.is_stale(now):
                     state.decay_toward_defaults(now)
-                continue
-            state.observe(now, sample.latency_s, sample.success_rate,
-                          sample.rps, sample.inflight)
-            total_rps += sample.rps
-
-        snapshots = [state.snapshot() for state in self.backends.values()]
-        penalty_overrides = self._dynamic_penalties(now)
-        raw_weights = compute_weights(
-            snapshots, self.config.weighting,
-            penalty_overrides=penalty_overrides)
+            else:
+                state.observe(now, sample.latency_s, sample.success_rate,
+                              sample.rps, sample.inflight)
+                total_rps += sample.rps
+            if failure_latency is not None:
+                observed = failure_latency(
+                    name, now, config.metrics_window_s,
+                    config.dynamic_penalty_percentile)
+                if observed is not None:
+                    state.failure_latency.observe(observed, now)
+            raw_weights[name] = state.weight(config.weighting)
 
         rps_ewma_before = self.total_rps_ewma.value
         self.total_rps_ewma.observe(total_rps, now)
-        if self.config.rate_control_enabled:
+        if config.rate_control_enabled:
             adjusted = apply_rate_control(
                 raw_weights, rps_ewma_before, total_rps,
-                min_weight=self.config.weighting.min_weight)
+                min_weight=config.weighting.min_weight)
             self.last_relative_change = relative_change(
                 rps_ewma_before, total_rps)
         else:
             adjusted = dict(raw_weights)
             self.last_relative_change = 0.0
 
-        if self.config.cost is not None:
+        if config.cost is not None:
             from repro.core.cost import apply_cost_bias
 
             adjusted = apply_cost_bias(
-                adjusted, self.config.cost,
-                min_weight=self.config.weighting.min_weight)
+                adjusted, config.cost,
+                min_weight=config.weighting.min_weight)
 
         # TrafficSplit weights are non-negative integers (SMI spec); round
         # half-up and keep at least 1 so no backend goes dark. (floor(w +
@@ -236,27 +239,16 @@ class L3Controller:
             self.audit.record_degraded(now, self.last_error)
         return dict(self.last_weights)
 
-    def _dynamic_penalties(self, now: float) -> dict | None:
-        """Per-backend penalty factors from observed failure latency.
+    def _failure_latency_reader(self):
+        """What feeds each backend's penalty filter, or None.
 
         Paper §7 future work: "The continuous feedback about the response
         time of unsuccessful requests could be used" to set P per
         workload. When the metrics source can report a windowed percentile
         of failed-request latency, each backend's penalty tracks it
-        through an EWMA; without failure data the filter holds (and
-        started at the static penalty).
+        through an EWMA; without failure data — or without the extension —
+        the filter holds (and started at the static penalty).
         """
         if not self.config.dynamic_penalty:
             return None
-        reader = getattr(self.metrics_source, "failure_latency_quantile",
-                         None)
-        if reader is None:
-            return None
-        penalties = {}
-        for name, state in self.backends.items():
-            observed = reader(name, now, self.config.metrics_window_s,
-                              self.config.dynamic_penalty_percentile)
-            if observed is not None:
-                state.failure_latency.observe(observed, now)
-            penalties[name] = state.failure_latency.value
-        return penalties
+        return getattr(self.metrics_source, "failure_latency_quantile", None)

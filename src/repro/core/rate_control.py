@@ -53,15 +53,23 @@ def adjust_weight(weight: float, mean_weight: float, change: float) -> float:
     traffic opportunistically to the fast backends. ``change == 0`` leaves
     the weight untouched.
     """
+    return _adjuster(mean_weight, change)(weight)
+
+
+def _adjuster(mean_weight: float, change: float):
+    """:func:`adjust_weight` for one (mean, change) pair, as a function of
+    the weight: the ``(1 + k c^2)^1.5`` factors are computed once."""
     if change > 0.0:
         damping = (1.0 + change * change) ** 1.5
-        return mean_weight - mean_weight / damping + weight / damping
+        return lambda weight: (
+            mean_weight - mean_weight / damping + weight / damping)
     if change < 0.0:
-        if weight <= mean_weight:
-            return weight / (1.0 + 2.0 * change * change) ** 1.5
+        shrink = (1.0 + 2.0 * change * change) ** 1.5
         spread = (1.0 + 3.0 * change * change) ** 1.5
-        return 2.0 * weight - mean_weight - (weight - mean_weight) / spread
-    return weight
+        return lambda weight: (
+            weight / shrink if weight <= mean_weight
+            else 2.0 * weight - mean_weight - (weight - mean_weight) / spread)
+    return lambda weight: weight
 
 
 def apply_rate_control(weights: dict, rps_ewma: float, rps_last: float,
@@ -81,9 +89,7 @@ def apply_rate_control(weights: dict, rps_ewma: float, rps_last: float,
         raise ConfigError(f"min weight must be >= 0: {min_weight}")
     if not weights:
         return {}
-    change = relative_change(rps_ewma, rps_last)
-    mean_weight = sum(weights.values()) / len(weights)
-    return {
-        name: max(adjust_weight(weight, mean_weight, change), min_weight)
-        for name, weight in weights.items()
-    }
+    adjust = _adjuster(sum(weights.values()) / len(weights),
+                       relative_change(rps_ewma, rps_last))
+    return {name: max(adjust(weight), min_weight)
+            for name, weight in weights.items()}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.core.config import L3Config
 from repro.core.ewma import Ewma, PeakEwma, half_life_to_beta
-from repro.core.weighting import BackendSnapshot
+from repro.core.weighting import BackendSnapshot, WeightingConfig, weigh
 
 
 class BackendMetricState:
@@ -63,19 +63,32 @@ class BackendMetricState:
         return now - self._last_sample_time >= self.config.staleness_s
 
     def decay_toward_defaults(self, now: float) -> None:
-        """§4 no-traffic behaviour: converge filters back to their defaults."""
+        """§4 no-traffic behaviour: converge filters back to their defaults
+        (``Ewma.decay_toward_default``; ``L3Config`` validated the fraction)."""
         fraction = self.config.decay_fraction
-        self.latency.decay_toward_default(now, fraction)
-        self.success_rate.decay_toward_default(now, fraction)
-        self.rps.decay_toward_default(now, fraction)
-        self.inflight.decay_toward_default(now, fraction)
+        for ewma in (self.latency, self.success_rate, self.rps,
+                     self.inflight):
+            ewma._value += (ewma.default - ewma._value) * fraction
+            ewma._last_update = now
+
+    def _clamped(self) -> tuple[float, float, float, float]:
+        """The filters clamped into Algorithm 1's domain. ``0.0 if 0.0 > v
+        else v`` is exactly ``max(v, 0.0)`` (NaN and -0.0 included), and
+        ``1.0 if 1.0 < v else v`` is ``min(v, 1.0)``, minus the calls."""
+        latency, success, rps, inflight = (
+            self.latency._value, self.success_rate._value, self.rps._value,
+            self.inflight._value)
+        success = 0.0 if 0.0 > success else success
+        return (0.0 if 0.0 > latency else latency,
+                1.0 if 1.0 < success else success,
+                0.0 if 0.0 > rps else rps,
+                0.0 if 0.0 > inflight else inflight)
+
+    def weight(self, config: WeightingConfig) -> float:
+        """Algorithm 1 straight from the filters. The penalty filter holds
+        the static penalty unless the dynamic-penalty extension feeds it."""
+        return weigh(*self._clamped(), self.failure_latency._value, config)
 
     def snapshot(self) -> BackendSnapshot:
         """Current filtered values as input to the weighting algorithm."""
-        return BackendSnapshot(
-            name=self.name,
-            latency_s=max(self.latency.value, 0.0),
-            success_rate=min(max(self.success_rate.value, 0.0), 1.0),
-            rps=max(self.rps.value, 0.0),
-            inflight=max(self.inflight.value, 0.0),
-        )
+        return BackendSnapshot(self.name, *self._clamped())

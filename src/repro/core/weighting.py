@@ -28,7 +28,7 @@ only thing the mesh consumes — are preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
@@ -128,20 +128,35 @@ def estimate_latency(latency_s: float, success_rate: float,
     return latency_s + penalty_s * (expected_tries - 1.0)
 
 
-def backend_weight(snapshot: BackendSnapshot,
-                   config: WeightingConfig) -> float:
-    """Algorithm 1 body for a single backend; returns the floored weight."""
-    if snapshot.rps >= _MIN_RPS_FOR_NORMALIZATION:
-        normalized_inflight = min(
-            snapshot.inflight / snapshot.rps, _MAX_NORMALIZED_INFLIGHT)
-    else:
-        normalized_inflight = 0.0
-    latency_est = estimate_latency(
-        snapshot.latency_s, snapshot.success_rate, config.penalty_s)
-    latency_est = max(latency_est, _MIN_LATENCY_S)
+def weigh(latency_s: float, success_rate: float, rps: float,
+          inflight: float, penalty_s: float, config: WeightingConfig) -> float:
+    """Algorithm 1 body for a single backend; returns the floored weight.
+
+    ``penalty_s`` overrides ``config.penalty_s``. The caps are spelled
+    ``b if b > a else a``, exactly ``max(a, b)`` minus the call: this runs
+    for every backend on every reconcile.
+    """
+    if penalty_s < 0:
+        raise ValueError(f"negative penalty override: {penalty_s}")
+    normalized_inflight = 0.0
+    if rps >= _MIN_RPS_FOR_NORMALIZATION:
+        normalized_inflight = inflight / rps
+        if _MAX_NORMALIZED_INFLIGHT < normalized_inflight:
+            normalized_inflight = _MAX_NORMALIZED_INFLIGHT
+    latency_est = estimate_latency(latency_s, success_rate, penalty_s)
+    if _MIN_LATENCY_S > latency_est:
+        latency_est = _MIN_LATENCY_S
     raw = config.weight_scale / (
         (normalized_inflight + 1.0) ** config.inflight_exponent * latency_est)
-    return max(raw, config.min_weight)
+    floor = config.min_weight
+    return floor if floor > raw else raw
+
+
+def backend_weight(snapshot: BackendSnapshot,
+                   config: WeightingConfig) -> float:
+    """Algorithm 1 for one snapshot under the static penalty."""
+    return weigh(snapshot.latency_s, snapshot.success_rate, snapshot.rps,
+                 snapshot.inflight, config.penalty_s, config)
 
 
 def compute_weights(snapshots, config: WeightingConfig | None = None,
@@ -168,12 +183,8 @@ def compute_weights(snapshots, config: WeightingConfig | None = None,
         if snapshot.name in weights:
             raise ValueError(f"duplicate backend name: {snapshot.name}")
         penalty = penalty_overrides.get(snapshot.name)
-        if penalty is None:
-            effective = config
-        else:
-            if penalty < 0:
-                raise ValueError(
-                    f"negative penalty override for {snapshot.name}: {penalty}")
-            effective = replace(config, penalty_s=penalty)
-        weights[snapshot.name] = backend_weight(snapshot, effective)
+        weights[snapshot.name] = weigh(
+            snapshot.latency_s, snapshot.success_rate, snapshot.rps,
+            snapshot.inflight,
+            config.penalty_s if penalty is None else penalty, config)
     return weights

@@ -12,6 +12,7 @@ from repro.errors import ConfigError, MeshError
 from repro.mesh.cluster import backend_name
 from repro.mesh.replica import Replica
 from repro.sim.engine import Simulator
+from repro.sim.resources import Server
 from repro.workloads.profiles import BackendProfile
 
 
@@ -20,7 +21,7 @@ class Backend:
 
     __slots__ = ("sim", "service", "cluster", "name", "profile",
                  "_rng_registry", "_replica_capacity", "_next_replica_id",
-                 "_rr_index", "replicas")
+                 "_rr_index", "replicas", "_servers")
 
     def __init__(self, sim: Simulator, service: str, cluster: str,
                  profile: BackendProfile, rng_registry,
@@ -37,6 +38,8 @@ class Backend:
         self._next_replica_id = 0
         self._rr_index = 0
         self.replicas: list[Replica] = []
+        # The replicas' servers, in step with ``replicas``.
+        self._servers: list[Server] = []
         for _ in range(replicas):
             self.add_replica()
 
@@ -49,6 +52,7 @@ class Backend:
             self._rng_registry.stream(f"replica/{self.name}/{replica_id}"),
             capacity=self._replica_capacity)
         self.replicas.append(replica)
+        self._servers.append(replica.server)
         return replica
 
     def remove_replica(self) -> None:
@@ -56,6 +60,7 @@ class Backend:
         if len(self.replicas) <= 1:
             raise MeshError(f"cannot remove last replica of {self.name}")
         self.replicas.pop()
+        self._servers.pop()
 
     def pick_replica(self) -> Replica:
         """In-cluster round-robin replica choice.
@@ -95,9 +100,9 @@ class Backend:
         """Requests executing or queued across all replicas.
 
         Scraped as a gauge for every backend at every scrape, hence the
-        single ``Server.occupancy`` read per replica.
+        server list and the bulk read.
         """
-        return sum([replica.server.occupancy for replica in self.replicas])
+        return Server.total_occupancy(self._servers)
 
 
 class ServiceDeployment:

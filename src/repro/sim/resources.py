@@ -53,6 +53,12 @@ class Server:
         """Held slots plus waiting acquisitions (one read for gauges)."""
         return self._in_use + len(self._waiters)
 
+    @staticmethod
+    def total_occupancy(servers) -> int:
+        """Summed :attr:`occupancy` of ``servers``, minus the calls."""
+        return sum([server._in_use + len(server._waiters)
+                    for server in servers])
+
     def try_acquire(self) -> bool:
         """Grab a slot if one is free right now.
 

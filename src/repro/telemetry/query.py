@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 
 from repro.core.controller import MetricSample
+from repro.errors import TelemetryError
 from repro.telemetry import names as metric_names
 from repro.telemetry.histogram import DEFAULT_BUCKET_BOUNDS_S, quantile_from_delta
 from repro.telemetry.timeseries import SampleSeries, TimeSeriesStore
@@ -54,16 +55,23 @@ class PromMetricsSource:
 
     def collect(self, backend_names, now: float, window_s: float,
                 percentile: float) -> dict:
-        """One :class:`MetricSample` (or None) per backend over the window."""
-        return {
-            name: self._collect_backend(name, now, window_s, percentile)
-            for name in backend_names
-        }
+        """One :class:`MetricSample` (or None) per backend over the window.
 
-    def _collect_backend(self, name: str, now: float, window_s: float,
-                         percentile: float):
-        edges = self._proxy_series(name).first_last_in_window(
-            now - window_s, now)
+        A series unchanged since before the window holds one row object
+        throughout (zero deltas): "no data" without a window look-up.
+        """
+        start = now - window_s
+        samples = {}
+        for name in backend_names:
+            series = self._proxy_series(name)
+            samples[name] = (
+                None if series.changed_at < start
+                else self._collect_backend(series, now, start, percentile))
+        return samples
+
+    def _collect_backend(self, series: SampleSeries, now: float,
+                         start: float, percentile: float):
+        edges = series.first_last_in_window(start, now)
         if edges is None:
             return None
         (t0, first), (t1, last) = edges
@@ -90,11 +98,15 @@ class PromMetricsSource:
                     + delta_count + delta_successes + last.inflight)):
             return None
 
+        try:
+            latency_s = self._window_quantile(
+                first.success_latency_buckets, last.success_latency_buckets,
+                percentile)
+        except TelemetryError:  # a bucket went backwards, +Inf did not
+            return None
         success_rate = 1.0 - delta_failures / delta_requests
         return MetricSample(
-            latency_s=self._window_quantile(
-                first.success_latency_buckets, last.success_latency_buckets,
-                percentile),
+            latency_s=latency_s,
             success_rate=min(max(success_rate, 0.0), 1.0),
             rps=delta_requests / elapsed,
             inflight=max(last.inflight, 0.0),
@@ -143,12 +155,16 @@ class PromMetricsSource:
 
         Used by the dynamic-penalty-factor extension (paper §7 future
         work): continuous feedback about the response time of unsuccessful
-        requests. Returns None without failure data in the window.
+        requests. Returns None without failure data in the window, and
+        for buckets that went backwards (as :meth:`collect` does).
         """
         edges = self._proxy_series(name).first_last_in_window(
             now - window_s, now)
         if edges is None:
             return None
-        return self._window_quantile(
-            edges[0][1].failure_latency_buckets,
-            edges[1][1].failure_latency_buckets, percentile)
+        try:
+            return self._window_quantile(
+                edges[0][1].failure_latency_buckets,
+                edges[1][1].failure_latency_buckets, percentile)
+        except TelemetryError:
+            return None

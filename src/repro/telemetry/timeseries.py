@@ -12,10 +12,14 @@ issues every reconcile interval touch only the two edge samples — no
 whole-series copy per query. Retention trimming is amortized (the expired
 prefix is sliced off only once it grows past a threshold), so appends stay
 O(1) amortized just like the deque version.
+
+``SampleSeries.changed_at`` stamps the last append whose value *is not*
+the previous value: a window starting later holds one object throughout.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 
 from repro.errors import TelemetryError
@@ -28,12 +32,14 @@ _TRIM_THRESHOLD = 256
 class SampleSeries:
     """An append-only, time-ordered series with bounded retention."""
 
-    __slots__ = ("max_age_s", "_times", "_values")
+    __slots__ = ("max_age_s", "changed_at", "_times", "_values")
 
     def __init__(self, max_age_s: float = 300.0):
         if max_age_s <= 0:
             raise TelemetryError(f"retention must be positive: {max_age_s}")
         self.max_age_s = max_age_s
+        # Time of the last append that was not the previous value object.
+        self.changed_at = -math.inf
         self._times: list[float] = []
         self._values: list = []
 
@@ -51,14 +57,18 @@ class SampleSeries:
         if times and when < times[-1]:
             raise TelemetryError(
                 f"out-of-order sample: {when} < {times[-1]}")
+        values = self._values
+        if not values or value is not values[-1]:
+            self.changed_at = when
         times.append(when)
-        self._values.append(value)
+        values.append(value)
+        # >= _TRIM_THRESHOLD samples expired iff the one at that rank did.
         cutoff = when - self.max_age_s
-        if times[0] < cutoff:
+        if (len(times) > _TRIM_THRESHOLD
+                and times[_TRIM_THRESHOLD - 1] < cutoff):
             expired = bisect_left(times, cutoff)
-            if expired >= _TRIM_THRESHOLD:
-                del times[:expired]
-                del self._values[:expired]
+            del times[:expired]
+            del values[:expired]
 
     def _window_bounds(self, start: float, end: float) -> tuple[int, int]:
         """Index range ``[lo, hi)`` of samples with start <= time <= end."""

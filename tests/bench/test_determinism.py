@@ -10,8 +10,9 @@ Three guarantees every kernel or telemetry optimization must keep:
    executed serially — per-cell seeding and the ordered merge make
    worker scheduling invisible.
 3. Every pinned cell — seeds, algorithms, fault schedules, deadline and
-   retry storms, the balancer zoo, the hotel and social call graphs —
-   reproduces the digest the retired generator engine printed for it.
+   retry storms, the balancer zoo, the hotel and social call graphs, the
+   idle fleet — reproduces the digest recorded for it (for most, what
+   the retired generator engine printed).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.faults.faults import (
 from repro.mesh.ejection import OutlierEjectionConfig
 from repro.tracing import MeshTracer, TracingConfig
 from repro.tracing.export import to_otlp
+from repro.workloads.fleet import FleetSpec, build_fleet_scenario
 from repro.workloads.hotel import build_hotel_application
 
 # SHA-256 of the fixed-seed reference run (scenario-1 / l3 / 30 s /
@@ -211,6 +213,26 @@ PINNED = {
         _callgraph(run_social_benchmark, "round-robin", 2),
         "de39dec2bbeda9e2c0d345750cfd91a14d3c011d0cbf4d029ce4cc5390a64355"),
 }
+
+
+# The wide, mostly idle reconcile: 120 backends at 3 RPS, where most
+# windowed reads find no traffic and most EWMAs are decaying. Recorded at
+# 18f15bf, before the controller read the EWMAs directly and queries
+# skipped unchanged series, with the same digest call as above.
+def _idle_fleet(algorithm):
+    return lambda: run_scenario_benchmark(
+        build_fleet_scenario(FleetSpec(total_rps=3.0), seed=1), algorithm,
+        duration_s=300.0, seed=1)
+
+
+PINNED.update({
+    "idle-fleet/l3/seed1": (
+        _idle_fleet("l3"),
+        "510ebf078180830225a456024040ada78cb95edb57c18095a8e051aa2b8ef427"),
+    "idle-fleet/l3-peak/seed1": (
+        _idle_fleet("l3-peak"),
+        "d60409cda0835c77078377aab499b4d43b6cd1c86c9c6814ab2637d948d6c7aa"),
+})
 
 
 @pytest.mark.parametrize("cell", PINNED)

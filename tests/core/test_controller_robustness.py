@@ -4,11 +4,11 @@ import math
 
 import pytest
 
-import repro.core.controller as controller_module
 from repro.balancers.periodic import PeriodicSplitBalancer
 from repro.core.config import L3Config
 from repro.core.controller import L3Controller, MetricSample
 from repro.core.introspection import ControllerIntrospection
+from repro.core.state import BackendMetricState
 from repro.telemetry.metrics import BackendTelemetry
 from repro.telemetry.names import DEGRADED_RECONCILES, PROXY_SAMPLE
 from repro.telemetry.query import PromMetricsSource
@@ -172,6 +172,59 @@ class TestNonFiniteTelemetry:
         assert state.latency.value < drifted
 
 
+class TestHostileHistogram:
+    """A row whose middle bucket goes backwards while ``+Inf`` grows.
+
+    Regression: ``quantile_from_delta`` raised ``TelemetryError`` from
+    inside ``collect``, so every backend held stale weights (one degraded
+    reconcile, nothing pushed); in the failure buckets, with the dynamic
+    penalty on, the error escaped ``reconcile`` and aborted the run.
+    """
+
+    def reconcile_with_poisoned_row(self, buckets, **config):
+        store = TimeSeriesStore()
+        scraper = Scraper(store)
+        bundles = {name: BackendTelemetry(name) for name in ("a", "b")}
+        for telemetry in bundles.values():
+            scraper.register(telemetry)
+        source = PromMetricsSource(store)
+        controller = make_controller(source, FlakySink(), **config)
+        for now in (0.0, 5.0):
+            for telemetry in bundles.values():
+                for latency, success in ((0.004, True), (0.3, False)):
+                    telemetry.on_request_sent()
+                    telemetry.on_response(latency, success)
+            scraper.scrape_once(now)
+        # "a"'s newest row: the finite bucket holding the observations
+        # falls back to 0 (the first row had 1 there) while +Inf grows.
+        series = store.series("a", PROXY_SAMPLE)
+        row = series._values[-1]
+        hostile = list(getattr(row, buckets))
+        hostile[hostile.index(2)] = 0
+        series._values[-1] = row._replace(**{buckets: tuple(hostile)})
+        return source, controller, controller.reconcile(5.0)
+
+    def test_success_buckets_decay_that_backend_only(self):
+        source, controller, weights = self.reconcile_with_poisoned_row(
+            "success_latency_buckets")
+        assert controller.degraded_reconciles == 0
+        assert set(weights) == {"a", "b"}
+        assert source.collect(["a", "b"], 5.0, 10.0, 0.99)["a"] is None
+        # "a" read as no data; "b", scraped alongside, was observed.
+        assert controller.backends["a"].last_sample_time == 0.0
+        assert controller.backends["b"].last_sample_time == 5.0
+
+    def test_failure_buckets_hold_the_dynamic_penalty(self):
+        source, controller, weights = self.reconcile_with_poisoned_row(
+            "failure_latency_buckets", dynamic_penalty=True)
+        assert controller.degraded_reconciles == 0
+        assert set(weights) == {"a", "b"}
+        assert source.failure_latency_quantile("a", 5.0, 10.0, 0.9) is None
+        penalty_s = controller.config.weighting.penalty_s
+        assert controller.backends["a"].failure_latency.value == penalty_s
+        assert controller.backends["b"].failure_latency.value != penalty_s
+
+
 class TestPauseResume:
     def test_paused_loop_skips_reconciles(self, sim):
         controller = make_controller(FlakySource(), FlakySink())
@@ -191,24 +244,24 @@ class TestPauseResume:
         assert controller.reconcile_count == 3
 
 
+def raw_weights_are(monkeypatch, raw):
+    """Make Algorithm 1 return ``raw[name]`` for every backend."""
+    monkeypatch.setattr(BackendMetricState, "weight",
+                        lambda state, config: raw[state.name])
+
+
 class TestWeightRounding:
     def test_half_weights_round_up_not_to_even(self, monkeypatch):
         # Regression: int(round(2.5)) is 2 (banker's rounding); SMI
         # weights must round half *up* so equal backends stay equal.
-        monkeypatch.setattr(
-            controller_module, "compute_weights",
-            lambda snapshots, config, penalty_overrides=None:
-                {"a": 2.5, "b": 3.5})
+        raw_weights_are(monkeypatch, {"a": 2.5, "b": 3.5})
         controller = make_controller(FlakySource(), FlakySink(),
                                      rate_control_enabled=False)
         weights = controller.reconcile(5.0)
         assert weights == {"a": 3, "b": 4}
 
     def test_sub_half_weight_floors_to_one(self, monkeypatch):
-        monkeypatch.setattr(
-            controller_module, "compute_weights",
-            lambda snapshots, config, penalty_overrides=None:
-                {"a": 0.2, "b": 900.0})
+        raw_weights_are(monkeypatch, {"a": 0.2, "b": 900.0})
         controller = make_controller(FlakySource(), FlakySink(),
                                      rate_control_enabled=False)
         assert controller.reconcile(5.0) == {"a": 1, "b": 900}

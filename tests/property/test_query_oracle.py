@@ -2,7 +2,9 @@
 
 Drives ``Scraper.scrape_once`` over random counter/histogram trajectories
 (with paused ticks, irregular intervals, a failures counter that restarts
-alone and a retention horizon shorter than the widest window) and
+alone, idle stretches longer than the window — where the change-stamp
+shortcut answers — and a retention horizon shorter than the widest
+window) and
 compares every field ``PromMetricsSource`` returns against a
 straight-line reference computed here from the raw values the bundle
 showed at each scrape — exact float equality, because the row store must
@@ -28,7 +30,8 @@ ticks = st.lists(
               st.sampled_from([False, False, False, True]),  # paused tick
               responses,
               st.integers(min_value=0, max_value=3),  # left in flight
-              st.sampled_from([False, False, False, True])),  # reset
+              st.sampled_from([False, False, False, True]),  # reset
+              st.sampled_from([0, 0, 0, 1, 3, 8])),  # idle scrapes after
     min_size=2, max_size=30)
 queries = st.tuples(st.sampled_from([6.0, 10.0, 30.0]),
                     st.sampled_from([0.5, 0.99, 0.999]))
@@ -83,26 +86,30 @@ def reference_sample(scrapes, now, window_s, q):
     }
 
 
-@settings(max_examples=150, deadline=None)
-@given(ticks, queries)
-def test_collect_matches_the_straight_line_reference(trajectory, query):
-    window_s, q = query
+def replay(trajectory, window_s, q) -> int:
+    """Scrape and query along ``trajectory``, checking every read against
+    the reference; returns how many reads took the change-stamp shortcut
+    (answered "no data" without a window look-up)."""
     store = TimeSeriesStore(max_age_s=RETENTION_S)
     scraper = Scraper(store)
     telemetry = BackendTelemetry("b")
     scraper.register(telemetry)
     source = PromMetricsSource(store)
+    looked_up = []
+    full_path = source._collect_backend
+
+    def spy(*args):
+        looked_up.append(args)
+        return full_path(*args)
+
+    source._collect_backend = spy
     scrapes = []
+    reads = 0
     now = 0.0
-    for interval, paused, completed, left_in_flight, reset in trajectory:
+
+    def scrape_and_check(interval, paused):
+        nonlocal now, reads
         now += interval
-        if reset:
-            telemetry.failures_total = Counter()
-        for latency, success in completed:
-            telemetry.on_request_sent()
-            telemetry.on_response(latency, success)
-        for _ in range(left_in_flight):
-            telemetry.on_request_sent()
         if not paused:
             scraper.scrape_once(now)
             scrapes.append({
@@ -117,6 +124,7 @@ def test_collect_matches_the_straight_line_reference(trajectory, query):
             })
         # The controller reconciles whether or not the scrape happened.
         got = source.collect(["b"], now, window_s, q)["b"]
+        reads += 1
         want = reference_sample(scrapes, now, window_s, q)
         if want is None:
             assert got is None
@@ -126,3 +134,40 @@ def test_collect_matches_the_straight_line_reference(trajectory, query):
         assert source.failure_latency_quantile("b", now, window_s, q) == (
             reference_quantile(edges[0]["failed"], edges[1]["failed"], q)
             if edges else None)
+
+    for (interval, paused, completed, left_in_flight, reset,
+         idle_scrapes) in trajectory:
+        if reset:
+            telemetry.failures_total = Counter()
+        for latency, success in completed:
+            telemetry.on_request_sent()
+            telemetry.on_response(latency, success)
+        for _ in range(left_in_flight):
+            telemetry.on_request_sent()
+        scrape_and_check(interval, paused)
+        # Nothing happens to the bundle: every scrape stores its last row.
+        for _ in range(idle_scrapes):
+            scrape_and_check(5.0, False)
+    return reads - len(looked_up)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ticks, queries)
+def test_collect_matches_the_straight_line_reference(trajectory, query):
+    replay(trajectory, *query)
+
+
+def test_idle_stretches_take_the_shortcut_and_stay_exact():
+    """Idle runs longer than every window: the shortcut provably fires,
+    and each read still equals the reference."""
+    busy = [(0.004, True), (0.02, True), (0.3, False), (1.5, True)]
+    trajectory = [
+        (5.0, False, busy, 1, False, 0),
+        (5.0, False, busy, 0, False, 8),   # 40 s idle
+        (0.5, False, [], 0, True, 0),      # failures counter restarts
+        (5.0, False, busy, 2, False, 8),
+        (7.25, True, busy, 0, False, 8),   # a paused tick, then idle
+    ]
+    for window_s in (6.0, 10.0, 30.0):
+        for q in (0.5, 0.99):
+            assert replay(trajectory, window_s, q) > 0
