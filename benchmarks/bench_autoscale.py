@@ -20,7 +20,7 @@ Two committed measurements (``BENCH_autoscale.json`` at the repo root):
    loop and the replica loop, reading the same scraped telemetry,
    amplify each other into oscillation? Reported as replica flaps,
    weight flaps, and how long after the outage heals both loops take to
-   go quiet (:mod:`repro.autoscale.study` defines the estimators).
+   go quiet (:mod:`repro.bench.study` defines the estimators).
 
 Run it::
 
@@ -42,8 +42,8 @@ _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.autoscale.study import run_elasticity_cell
-from repro.bench.parallel import Cell, run_cells
+from repro.bench.experiments import elasticity_trial
+from repro.bench.study import reduce_grid, run_grid
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "BENCH_autoscale.json"
@@ -60,45 +60,21 @@ INTERACTION_SCENARIO = "elastic-outage"
 INTERACTION_ALGORITHMS = ("l3", "round-robin")
 
 
-def _frontier_cells(duration_s: float, seed: int, targets) -> list[Cell]:
-    cells = [Cell(id="fixed-min", fn=run_elasticity_cell,
-                  kwargs={"scenario": FRONTIER_SCENARIO, "mode": "fixed-min",
-                          "duration_s": duration_s, "seed": seed})]
-    for target in targets:
-        label = "autoscale" if target is None else f"autoscale@{target:g}"
-        cells.append(Cell(id=label, fn=run_elasticity_cell,
-                          kwargs={"scenario": FRONTIER_SCENARIO,
-                                  "mode": "autoscale",
-                                  "duration_s": duration_s, "seed": seed,
-                                  "target": target}))
-    cells.append(Cell(id="fixed-max", fn=run_elasticity_cell,
-                      kwargs={"scenario": FRONTIER_SCENARIO,
-                              "mode": "fixed-max",
-                              "duration_s": duration_s, "seed": seed}))
-    return cells
-
-
-def _interaction_cells(duration_s: float, seed: int) -> list[Cell]:
-    return [Cell(id=algorithm, fn=run_elasticity_cell,
-                 kwargs={"scenario": INTERACTION_SCENARIO,
-                         "mode": "autoscale", "algorithm": algorithm,
-                         "duration_s": duration_s, "seed": seed})
-            for algorithm in INTERACTION_ALGORITHMS]
-
-
 def measure(duration_s: float, seed: int, targets, jobs: int) -> dict:
     """Run every cell (one process pool) and assemble the report."""
-    cells = _frontier_cells(duration_s, seed, targets) \
-        + [Cell(id=f"interaction/{c.id}", fn=c.fn, kwargs=c.kwargs)
-           for c in _interaction_cells(duration_s, seed)]
-    outcomes = run_cells(cells, jobs=jobs)
-    rows = {key: outcome.unwrap() for key, outcome in outcomes.items()}
-
-    frontier_rows = [rows[c.id] for c in
-                     _frontier_cells(duration_s, seed, targets)]
-    interaction_rows = {
-        algorithm: rows[f"interaction/{algorithm}"]
-        for algorithm in INTERACTION_ALGORITHMS}
+    frontier = [("fixed-min", "fixed-min", None)]
+    frontier += [("autoscale" if target is None else f"autoscale@{target:g}",
+                  "autoscale", target) for target in targets]
+    frontier.append(("fixed-max", "fixed-max", None))
+    trials = [elasticity_trial(label, FRONTIER_SCENARIO, mode,
+                               duration_s=duration_s, target=target)
+              for label, mode, target in frontier]
+    trials += [elasticity_trial(f"interaction/{algorithm}",
+                                INTERACTION_SCENARIO, "autoscale",
+                                algorithm=algorithm, duration_s=duration_s)
+               for algorithm in INTERACTION_ALGORITHMS]
+    rows = reduce_grid(run_grid(trials, seeds=(seed,), jobs=jobs))
+    frontier_rows = [rows[label] for label, _mode, _target in frontier]
     return {
         "schema": 1,
         "host": {"cpus": os.cpu_count(), "python": sys.version.split()[0]},
@@ -113,27 +89,21 @@ def measure(duration_s: float, seed: int, targets, jobs: int) -> dict:
             "scenario": INTERACTION_SCENARIO,
             "duration_s": duration_s,
             "seed": seed,
-            "rows": interaction_rows,
+            "rows": {algorithm: rows[f"interaction/{algorithm}"]
+                     for algorithm in INTERACTION_ALGORITHMS},
         },
-        "contract": elasticity_contract(frontier_rows),
+        "contract": elasticity_contract(rows),
     }
 
 
-def elasticity_contract(frontier_rows) -> dict:
+def elasticity_contract(rows: dict) -> dict:
     """The headline claim, as recorded (and checked) booleans.
 
     The autoscale row is the scenario's own setpoint (``target`` None),
     the one an operator gets without tuning anything.
     """
-    by_mode = {}
-    for row in frontier_rows:
-        if row["mode"] == "autoscale" and row["target"] is None:
-            by_mode["autoscale"] = row
-        elif row["mode"] in ("fixed-min", "fixed-max"):
-            by_mode[row["mode"]] = row
-    autoscale = by_mode["autoscale"]
-    fixed_min = by_mode["fixed-min"]
-    fixed_max = by_mode["fixed-max"]
+    autoscale, fixed_min, fixed_max = (
+        rows[label] for label in ("autoscale", "fixed-min", "fixed-max"))
     return {
         "autoscale_p99_ms": autoscale["p99_ms"],
         "fixed_min_p99_ms": fixed_min["p99_ms"],

@@ -36,24 +36,25 @@ def test_fault_matrix(benchmark):
 
     for fault_name, row in matrix.items():
         for algorithm, cell in row.items():
-            assert cell.result.request_count > 0, (fault_name, algorithm)
+            # A pre-fault baseline exists (NaN compares False).
+            assert cell["pre_p99_ms"] > 0, (fault_name, algorithm)
 
     blackhole = matrix["cluster-blackhole"]
     # Round-robin keeps spraying the dead cluster (~1/3 of traffic); L3
     # sheds at least 90 % of it within 3 reconcile intervals.
-    assert blackhole["round-robin"].faulted_share_pct > 20.0
-    assert blackhole["l3"].shed_share_pct < 10.0
+    assert blackhole["round-robin"]["faulted_share_pct"] > 20.0
+    assert blackhole["l3"]["shed_share_pct"] < 10.0
     # With a 1 s deadline nothing hangs: every cell completes with a
     # measurable during-fault success rate, and L3 keeps most traffic
     # flowing around the outage.
-    assert blackhole["l3"].fault_success_pct > 85.0
+    assert blackhole["l3"]["fault_success_pct"] > 85.0
     # The tail comes back after the heal.
-    assert blackhole["l3"].recovery_intervals is not None
+    assert blackhole["l3"]["recovery_intervals"] is not None
 
     outage = matrix["cluster-outage"]
-    assert outage["l3"].shed_share_pct < 10.0
-    assert (outage["l3"].fault_success_pct
-            > outage["round-robin"].fault_success_pct)
+    assert outage["l3"]["shed_share_pct"] < 10.0
+    assert (outage["l3"]["fault_success_pct"]
+            > outage["round-robin"]["fault_success_pct"])
 
 
 def main(argv=None) -> int:

@@ -22,8 +22,9 @@ import sys
 
 from repro import L3Config, ScenarioBenchConfig, WeightingConfig, \
     run_scenario_benchmark
-from repro.bench.fault_matrix import faulted_share, steady_scenario
+from repro.bench.fault_matrix import steady_scenario
 from repro.bench.results import ComparisonTable
+from repro.bench.study import faulted_share
 from repro.faults import ClusterOutage
 
 

@@ -22,9 +22,8 @@ opt-in: with no policy configured, no loop, gauge, or RNG draw is
 created and simulation digests are byte-identical to autoscale-free
 builds.
 
-The elasticity benchmark cells shared by the figure suite and CI live in
-:mod:`repro.autoscale.study` (kept out of this namespace to avoid
-importing the bench stack at package-import time).
+The elasticity study (capacity modes, flap and settle estimators) is a
+declaration over the bench layer's :mod:`repro.bench.study`.
 """
 
 from repro.autoscale.controller import BackendAutoscaler

@@ -4,7 +4,8 @@ Every public function regenerates the data behind one figure and returns a
 structure holding both the measured values and, where the paper reports
 concrete numbers, the paper's values for side-by-side comparison. Each has
 a matching module under ``benchmarks/``; EXPERIMENTS.md records the
-paper-vs-measured comparison produced by these functions.
+paper-vs-measured comparison produced by these functions. The sweeps are
+:class:`~repro.bench.study.Trial` declarations over the study layer.
 
 Durations default to paper scale (10-minute scenario runs, three
 repetitions); pass smaller values for quick runs — the scenario traces are
@@ -13,16 +14,27 @@ fixed 10-minute recordings regardless, so shorter runs measure a prefix.
 
 from __future__ import annotations
 
-import statistics
+import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.analysis.stats import relative_decrease
-from repro.bench.coordinator import run_hotel_benchmark, run_scenario_benchmark
-from repro.bench.parallel import Cell, run_cells
+from repro.bench.coordinator import ScenarioBenchConfig, run_hotel_benchmark
 from repro.bench.results import ComparisonTable
+from repro.bench.study import (
+    Trial,
+    convergence_after,
+    count_replica_flaps,
+    count_weight_flaps,
+    fault_window,
+    latency,
+    reduce_grid,
+    run_grid,
+)
 from repro.core.config import L3Config
 from repro.core.rate_control import adjust_weight
 from repro.core.weighting import WeightingConfig
+from repro.errors import ConfigError
 from repro.workloads.scenarios import TRACE_PERIOD_S, build_scenario
 
 ALGORITHMS = ("round-robin", "c3", "l3")
@@ -79,49 +91,22 @@ class BarExperiment:
         return "\n".join(out)
 
 
-def _summarize(results) -> dict:
-    """Average the headline metrics over one row's repetition results."""
-    return {
-        "p50_ms": statistics.mean(r.p50_ms for r in results),
-        "p90_ms": statistics.mean(r.p90_ms for r in results),
-        "p99_ms": statistics.mean(r.p99_ms for r in results),
-        "success_rate": statistics.mean(r.success_rate for r in results),
-    }
+def _means(trials, repetitions: int, seed0: int, jobs: int | None) -> dict:
+    """``{label: mean row}`` over seeds ``seed0 .. seed0+repetitions-1``."""
+    return reduce_grid(run_grid(
+        trials, seeds=range(seed0, seed0 + repetitions), jobs=jobs))
 
 
-def _sweep_rows(rows, repetitions: int, seed0: int,
-                jobs: int | None = 1) -> dict:
-    """Run every (row × repetition) cell of a figure sweep.
-
-    Args:
-        rows: ``[(label, runner, kwargs), ...]`` — one table row each;
-            ``runner(seed=..., **kwargs)`` must return a
-            :class:`~repro.bench.coordinator.BenchmarkResult`.
-        repetitions: seeds per row (``seed0 + rep``), averaged.
-        jobs: worker processes for the sweep (1 = serial, None = CPUs).
-            The independent cells are merged back in row order, so the
-            returned metrics are identical for every value of ``jobs``.
-
-    Returns:
-        ``{label: {"p50_ms": ..., "p90_ms": ..., "p99_ms": ...,
-        "success_rate": ...}}`` in row order.
-    """
-    cells = [
-        Cell(id=f"{label}#rep{rep}", fn=runner,
-             kwargs={**kwargs, "seed": seed0 + rep})
-        for label, runner, kwargs in rows
-        for rep in range(repetitions)
-    ]
-    outcomes = run_cells(cells, jobs=jobs)
-    return {
-        label: _summarize([
-            outcomes[f"{label}#rep{rep}"].unwrap()
-            for rep in range(repetitions)
-        ])
-        for label, _runner, _kwargs in rows
-    }
-
-
+def _mean_table(title: str, means: dict, columns=("p99_ms",),
+                baseline: str = "round-robin") -> ComparisonTable:
+    """One row per mean row; ``success_pct`` is the success rate in %."""
+    table = ComparisonTable(title, baseline=baseline)
+    for label, row in means.items():
+        table.add(label, **{
+            column: (row["success_rate"] * 100.0
+                     if column == "success_pct" else row[column])
+            for column in columns})
+    return table
 
 
 # --------------------------------------------------------------------- #
@@ -210,34 +195,25 @@ def fig7_penalty_factor_sweep(
     value; reports the success rate and the relative P50/P90/P99 decrease
     of L3 over round-robin (the paper repeats each run twice).
     """
-    table = ComparisonTable(
-        "Fig. 7b: penalty factor sweep on failure-2", baseline="round-robin")
-    rows = [("round-robin", run_scenario_benchmark,
-             {"algorithm": "round-robin", "scenario": "failure-2",
-              "duration_s": duration_s})]
-    for penalty in penalties_s:
-        config = L3Config(weighting=WeightingConfig(penalty_s=penalty))
-        rows.append((f"l3 P={penalty:g}s", run_scenario_benchmark,
-                     {"algorithm": "l3", "scenario": "failure-2",
-                      "duration_s": duration_s, "l3_config": config}))
-    metrics = _sweep_rows(rows, repetitions, seed0, jobs=jobs)
-    baseline = metrics["round-robin"]
-    table.add("round-robin", **{
-        "p99_ms": baseline["p99_ms"],
-        "success_pct": baseline["success_rate"] * 100.0,
-    })
-    for label, _runner, _kwargs in rows[1:]:
-        result = metrics[label]
-        table.add(label, **{
-            "p99_ms": result["p99_ms"],
-            "success_pct": result["success_rate"] * 100.0,
-            "p50_dec_pct": relative_decrease(
-                baseline["p50_ms"], result["p50_ms"]) * 100.0,
-            "p90_dec_pct": relative_decrease(
-                baseline["p90_ms"], result["p90_ms"]) * 100.0,
-            "p99_dec_pct": relative_decrease(
-                baseline["p99_ms"], result["p99_ms"]) * 100.0,
-        })
+    run = {"scenario": "failure-2", "duration_s": duration_s}
+    trials = [Trial("round-robin", {**run, "algorithm": "round-robin"})]
+    trials += [
+        Trial(f"l3 P={penalty:g}s", {
+            **run, "algorithm": "l3",
+            "l3_config": L3Config(weighting=WeightingConfig(
+                penalty_s=penalty))})
+        for penalty in penalties_s
+    ]
+    means = _means(trials, repetitions, seed0, jobs)
+    table = _mean_table("Fig. 7b: penalty factor sweep on failure-2", means,
+                        ("p99_ms", "success_pct"))
+    baseline = means["round-robin"]
+    for label, row in means.items():
+        if label != "round-robin":
+            table.rows[label].update({
+                f"{q}_dec_pct": relative_decrease(
+                    baseline[f"{q}_ms"], row[f"{q}_ms"]) * 100.0
+                for q in ("p50", "p90", "p99")})
     return BarExperiment("Fig. 7b", "penalty factor sweep", table)
 
 
@@ -249,17 +225,12 @@ def fig8_ewma_vs_peakewma(duration_s: float = TRACE_PERIOD_S,
                           repetitions: int = 3, seed0: int = 1,
                           jobs: int | None = 1) -> BarExperiment:
     """Fig. 8: P99 of round-robin vs L3-PeakEWMA vs L3-EWMA on scenario-4."""
-    table = ComparisonTable(
-        "Fig. 8: EWMA vs PeakEWMA on scenario-4", baseline="round-robin")
-    rows = [
-        (algorithm, run_scenario_benchmark,
-         {"algorithm": algorithm, "scenario": "scenario-4",
-          "duration_s": duration_s})
-        for algorithm in ("round-robin", "l3-peak", "l3")
-    ]
-    for label, result in _sweep_rows(rows, repetitions, seed0,
-                                     jobs=jobs).items():
-        table.add(label, p99_ms=result["p99_ms"])
+    trials = [Trial(algorithm, {"algorithm": algorithm,
+                                "scenario": "scenario-4",
+                                "duration_s": duration_s})
+              for algorithm in ("round-robin", "l3-peak", "l3")]
+    table = _mean_table("Fig. 8: EWMA vs PeakEWMA on scenario-4",
+                        _means(trials, repetitions, seed0, jobs))
     return BarExperiment(
         "Fig. 8", "EWMA vs PeakEWMA", table, paper=PAPER_FIG8_P99_MS)
 
@@ -273,24 +244,44 @@ def fig9_hotel_reservation(rps: float = 200.0,
                            repetitions: int = 3, seed0: int = 1,
                            jobs: int | None = 1) -> BarExperiment:
     """Fig. 9: hotel-reservation P99 under RR / C3 / L3 at 200 RPS."""
-    table = ComparisonTable(
-        "Fig. 9: hotel-reservation P99 at 200 RPS", baseline="round-robin")
-    rows = [
-        (algorithm, run_hotel_benchmark,
-         {"algorithm": algorithm, "rps": rps, "duration_s": duration_s})
-        for algorithm in ALGORITHMS
-    ]
-    for label, result in _sweep_rows(rows, repetitions, seed0,
-                                     jobs=jobs).items():
-        table.add(label, p50_ms=result["p50_ms"],
-                  p99_ms=result["p99_ms"])
+    trials = [Trial(algorithm, {"algorithm": algorithm, "rps": rps,
+                                "duration_s": duration_s},
+                    run=run_hotel_benchmark)
+              for algorithm in ALGORITHMS]
+    table = _mean_table("Fig. 9: hotel-reservation P99 at 200 RPS",
+                        _means(trials, repetitions, seed0, jobs),
+                        ("p50_ms", "p99_ms"))
     return BarExperiment(
         "Fig. 9", "hotel reservation", table, paper=PAPER_FIG9_P99_MS)
 
 
 # --------------------------------------------------------------------- #
-# Fig. 10 — the five TIER scenarios
+# Figs. 10-12 — the five TIER scenarios, the failure scenarios
 # --------------------------------------------------------------------- #
+
+def _scenario_bars(names, figure: str, title: str, columns, paper,
+                   duration_s: float, repetitions: int, seed0: int,
+                   jobs: int | None) -> dict:
+    """scenario → :class:`BarExperiment` of RR / C3 / L3.
+
+    The full (scenario × algorithm × seed) grid is one flat cell sweep,
+    so ``jobs`` parallelizes across scenarios as well as algorithms.
+    """
+    trials = [Trial(f"{name}/{algorithm}",
+                    {"algorithm": algorithm, "scenario": name,
+                     "duration_s": duration_s})
+              for name in names for algorithm in ALGORITHMS]
+    means = _means(trials, repetitions, seed0, jobs)
+    return {
+        name: BarExperiment(
+            f"{figure} ({name})", name, _mean_table(
+                f"{figure} ({name}): {title}",
+                {algorithm: means[f"{name}/{algorithm}"]
+                 for algorithm in ALGORITHMS}, columns),
+            paper=paper(name))
+        for name in names
+    }
+
 
 def fig10_scenario_comparison(scenarios=None,
                               duration_s: float = TRACE_PERIOD_S,
@@ -298,35 +289,14 @@ def fig10_scenario_comparison(scenarios=None,
                               jobs: int | None = 1) -> dict:
     """Fig. 10: P99 of RR / C3 / L3 on scenario-1..5.
 
-    Returns a dict scenario → :class:`BarExperiment`. The full
-    (scenario × algorithm × seed) grid is one flat cell sweep, so
-    ``jobs`` parallelizes across scenarios as well as algorithms.
+    Returns a dict scenario → :class:`BarExperiment`.
     """
     scenarios = scenarios or [f"scenario-{i}" for i in range(1, 6)]
-    rows = [
-        (f"{name}/{algorithm}", run_scenario_benchmark,
-         {"algorithm": algorithm, "scenario": name,
-          "duration_s": duration_s})
-        for name in scenarios
-        for algorithm in ALGORITHMS
-    ]
-    metrics = _sweep_rows(rows, repetitions, seed0, jobs=jobs)
-    out = {}
-    for name in scenarios:
-        table = ComparisonTable(
-            f"Fig. 10 ({name}): P99 comparison", baseline="round-robin")
-        for algorithm in ALGORITHMS:
-            table.add(algorithm,
-                      p99_ms=metrics[f"{name}/{algorithm}"]["p99_ms"])
-        out[name] = BarExperiment(
-            f"Fig. 10 ({name})", name, table,
-            paper=PAPER_FIG10_P99_MS.get(name, {}))
-    return out
+    return _scenario_bars(
+        scenarios, "Fig. 10", "P99 comparison", ("p99_ms",),
+        lambda name: PAPER_FIG10_P99_MS.get(name, {}),
+        duration_s, repetitions, seed0, jobs)
 
-
-# --------------------------------------------------------------------- #
-# Fig. 11 + Fig. 12 — failure scenarios
-# --------------------------------------------------------------------- #
 
 def fig11_12_failure_scenarios(duration_s: float = TRACE_PERIOD_S,
                                repetitions: int = 3, seed0: int = 1,
@@ -336,53 +306,38 @@ def fig11_12_failure_scenarios(duration_s: float = TRACE_PERIOD_S,
     Returns a dict scenario → :class:`BarExperiment` whose rows carry both
     the P99 (Fig. 11) and the success rate (Fig. 12).
     """
-    names = ("failure-1", "failure-2")
-    rows = [
-        (f"{name}/{algorithm}", run_scenario_benchmark,
-         {"algorithm": algorithm, "scenario": name,
-          "duration_s": duration_s})
-        for name in names
-        for algorithm in ALGORITHMS
-    ]
-    metrics = _sweep_rows(rows, repetitions, seed0, jobs=jobs)
-    out = {}
-    for name in names:
-        table = ComparisonTable(
-            f"Fig. 11/12 ({name}): P99 and success rate",
-            baseline="round-robin")
-        for algorithm in ALGORITHMS:
-            result = metrics[f"{name}/{algorithm}"]
-            table.add(algorithm, p99_ms=result["p99_ms"],
-                      success_pct=result["success_rate"] * 100.0)
-        out[name] = BarExperiment(
-            f"Fig. 11/12 ({name})", name, table,
-            paper={
-                "p99_ms": PAPER_FIG11_P99_MS[name],
-                "success_pct": PAPER_FIG12_SUCCESS_PCT[name],
-            })
-    return out
+    return _scenario_bars(
+        ("failure-1", "failure-2"), "Fig. 11/12", "P99 and success rate",
+        ("p99_ms", "success_pct"),
+        lambda name: {"p99_ms": PAPER_FIG11_P99_MS[name],
+                      "success_pct": PAPER_FIG12_SUCCESS_PCT[name]},
+        duration_s, repetitions, seed0, jobs)
 
 
 # --------------------------------------------------------------------- #
 # Ablations (beyond the paper; design-choice validation)
 # --------------------------------------------------------------------- #
 
+def _l3_means(scenario: str, duration_s: float, variants: dict,
+              repetitions: int, seed0: int, jobs: int | None) -> dict:
+    """Mean rows of one L3 trial per ``{label: extra run kwargs}``."""
+    trials = [Trial(label, {"algorithm": "l3", "scenario": scenario,
+                            "duration_s": duration_s, **extra})
+              for label, extra in variants.items()]
+    return _means(trials, repetitions, seed0, jobs)
+
+
 def ablation_rate_control(scenario: str = "scenario-2",
                           duration_s: float = TRACE_PERIOD_S,
                           repetitions: int = 2, seed0: int = 1,
                           jobs: int | None = 1) -> BarExperiment:
     """Rate controller on vs off (Algorithm 2's contribution)."""
-    table = ComparisonTable(
-        f"Ablation: rate control on/off ({scenario})", baseline="l3")
-    rows = [
-        (label, run_scenario_benchmark,
-         {"algorithm": "l3", "scenario": scenario, "duration_s": duration_s,
-          "l3_config": L3Config(rate_control_enabled=enabled)})
+    means = _l3_means(scenario, duration_s, {
+        label: {"l3_config": L3Config(rate_control_enabled=enabled)}
         for label, enabled in (("l3", True), ("l3-no-rate-control", False))
-    ]
-    for label, result in _sweep_rows(rows, repetitions, seed0,
-                                     jobs=jobs).items():
-        table.add(label, p99_ms=result["p99_ms"])
+    }, repetitions, seed0, jobs)
+    table = _mean_table(f"Ablation: rate control on/off ({scenario})",
+                        means, baseline="l3")
     return BarExperiment("Ablation", "rate control", table)
 
 
@@ -392,18 +347,12 @@ def ablation_inflight_exponent(scenario: str = "scenario-1",
                                repetitions: int = 2, seed0: int = 1,
                                jobs: int | None = 1) -> BarExperiment:
     """Eq. 4's squared (R_i + 1) term vs other exponents."""
-    table = ComparisonTable(
-        f"Ablation: (R_i+1)^k exponent ({scenario})")
-    rows = [
-        (f"k={exponent:g}", run_scenario_benchmark,
-         {"algorithm": "l3", "scenario": scenario, "duration_s": duration_s,
-          "l3_config": L3Config(
-              weighting=WeightingConfig(inflight_exponent=exponent))})
+    means = _l3_means(scenario, duration_s, {
+        f"k={exponent:g}": {"l3_config": L3Config(
+            weighting=WeightingConfig(inflight_exponent=exponent))}
         for exponent in exponents
-    ]
-    for label, result in _sweep_rows(rows, repetitions, seed0,
-                                     jobs=jobs).items():
-        table.add(label, p99_ms=result["p99_ms"])
+    }, repetitions, seed0, jobs)
+    table = _mean_table(f"Ablation: (R_i+1)^k exponent ({scenario})", means)
     return BarExperiment("Ablation", "in-flight exponent", table)
 
 
@@ -421,13 +370,13 @@ def hotel_rps_saturation_sweep(rps_values=(200.0, 400.0, 600.0, 800.0,
     range and rises steeply as offered load approaches the deployment's
     capacity.
     """
-    table = ComparisonTable(
-        f"Saturation sweep: hotel-reservation under {algorithm}")
-    for rps in rps_values:
-        result = run_hotel_benchmark(
-            algorithm, rps=rps, duration_s=duration_s, seed=seed)
-        table.add(f"{rps:g} RPS",
-                  p50_ms=result.p50_ms, p99_ms=result.p99_ms)
+    trials = [Trial(f"{rps:g} RPS", {"algorithm": algorithm, "rps": rps,
+                                     "duration_s": duration_s},
+                    run=run_hotel_benchmark)
+              for rps in rps_values]
+    table = _mean_table(
+        f"Saturation sweep: hotel-reservation under {algorithm}",
+        _means(trials, 1, seed, 1), ("p50_ms", "p99_ms"))
     return BarExperiment(
         "§5.3.1", "hotel saturation sweep", table)
 
@@ -446,21 +395,12 @@ def ablation_retries(scenario: str = "failure-1",
     (b) retried failures make Eq. 3's retry model *actual* rather than
     hypothetical.
     """
-    from repro.bench.coordinator import ScenarioBenchConfig
-
-    table = ComparisonTable(
-        f"Ablation: client retries ({scenario})", baseline="l3 no-retry")
-    rows = [
-        (label, run_scenario_benchmark,
-         {"algorithm": "l3", "scenario": scenario, "duration_s": duration_s,
-          "env": ScenarioBenchConfig(max_retries=retries)})
+    means = _l3_means(scenario, duration_s, {
+        label: {"env": ScenarioBenchConfig(max_retries=retries)}
         for label, retries in (("l3 no-retry", 0), ("l3 retry-2", 2))
-    ]
-    for label, result in _sweep_rows(rows, repetitions, seed0,
-                                     jobs=jobs).items():
-        table.add(label,
-                  p99_ms=result["p99_ms"],
-                  success_pct=result["success_rate"] * 100.0)
+    }, repetitions, seed0, jobs)
+    table = _mean_table(f"Ablation: client retries ({scenario})", means,
+                        ("p99_ms", "success_pct"), baseline="l3 no-retry")
     return BarExperiment("Ablation", "client retries", table)
 
 
@@ -470,57 +410,123 @@ def ablation_scrape_interval(scenario: str = "scenario-2",
                              repetitions: int = 2, seed0: int = 1,
                              jobs: int | None = 1) -> BarExperiment:
     """§4's 5 s scrape-interval choice: data freshness vs overhead."""
-    from repro.bench.coordinator import ScenarioBenchConfig
-
-    table = ComparisonTable(
-        f"Ablation: scrape interval ({scenario})")
-    rows = [
-        (f"{interval:g}s", run_scenario_benchmark,
-         {"algorithm": "l3", "scenario": scenario, "duration_s": duration_s,
-          "env": ScenarioBenchConfig(scrape_interval_s=interval),
-          "l3_config": L3Config(
-              reconcile_interval_s=interval,
-              metrics_window_s=2.0 * interval)})
+    means = _l3_means(scenario, duration_s, {
+        f"{interval:g}s": {
+            "env": ScenarioBenchConfig(scrape_interval_s=interval),
+            "l3_config": L3Config(reconcile_interval_s=interval,
+                                  metrics_window_s=2.0 * interval)}
         for interval in intervals_s
-    ]
-    for label, result in _sweep_rows(rows, repetitions, seed0,
-                                     jobs=jobs).items():
-        table.add(label, p99_ms=result["p99_ms"])
+    }, repetitions, seed0, jobs)
+    table = _mean_table(f"Ablation: scrape interval ({scenario})", means)
     return BarExperiment("Ablation", "scrape interval", table)
+
+
+# --------------------------------------------------------------------- #
+# Elasticity — autoscaling vs the fixed-capacity corners
+# --------------------------------------------------------------------- #
+
+ELASTICITY_MODES = ("fixed-min", "autoscale", "fixed-max")
+
+
+def elastic_scenario(name: str, duration_s: float, mode: str,
+                     target: float | None = None):
+    """An ``elastic-*`` scenario in one of the :data:`ELASTICITY_MODES`.
+
+    ``fixed-min`` keeps the initial replica sets, autoscaling off;
+    ``autoscale`` runs the scenario's policies (optionally at another
+    utilization ``target``); ``fixed-max`` pins every cluster at the
+    policy maximum, autoscaling off.
+    """
+    scenario = build_scenario(name, duration_s)
+    if scenario.autoscale is None:
+        raise ConfigError(
+            f"scenario {name!r} carries no autoscale policies; the "
+            "elasticity study needs one of the elastic-* pair")
+    if mode not in ELASTICITY_MODES:
+        raise ConfigError(f"mode must be one of {ELASTICITY_MODES}: {mode!r}")
+    policies = {cluster: (policy if target is None
+                          else dataclasses.replace(policy, target=target))
+                for cluster, policy in scenario.autoscale.items()}
+    if mode == "autoscale":
+        return dataclasses.replace(scenario, autoscale=policies)
+    topology = scenario.topology
+    if mode == "fixed-max":
+        topology = dataclasses.replace(topology, replicas={
+            cluster: policy.max_replicas
+            for cluster, policy in policies.items()})
+    return dataclasses.replace(scenario, autoscale=None, topology=topology)
+
+
+def _elasticity_score(result, mode: str, target: float | None,
+                      fixed_replica_seconds: float | None,
+                      heal_s: float | None) -> dict:
+    """One elasticity run: latency, cost and control-loop interaction."""
+    row = latency(result)
+    del row["p90_ms"]
+    row.update({
+        "scenario": result.scenario, "mode": mode,
+        "algorithm": result.algorithm, "seed": result.seed,
+        "target": target,
+        "replica_seconds": (result.total_replica_seconds
+                            if fixed_replica_seconds is None
+                            else fixed_replica_seconds),
+        "scale_events": len(result.autoscale_events),
+        "replica_flaps": count_replica_flaps(result.autoscale_events),
+        "weight_flaps": count_weight_flaps(result.weight_samples),
+        "final_replicas": result.final_replicas,
+    })
+    if heal_s is not None:
+        row["convergence_after_heal_s"] = convergence_after(
+            result.autoscale_events, result.weight_samples, heal_s)
+    return row
+
+
+def elasticity_trial(label: str, scenario: str, mode: str,
+                     algorithm: str = "l3", duration_s: float = 360.0,
+                     target: float | None = None) -> Trial:
+    """One elasticity cell: ``scenario`` under ``algorithm`` in ``mode``.
+
+    Fixed modes have no cost integral of their own, so their
+    replica-seconds are the analytic ``replicas × run length`` (warm-up
+    included, matching the autoscaled integral's span). A scenario with
+    faults also reports how long after the heal both control loops took
+    to go quiet.
+    """
+    built = elastic_scenario(scenario, duration_s, mode, target)
+    warmup_s = ScenarioBenchConfig().warmup_s
+    fixed = None
+    if mode != "autoscale":
+        fixed = (float(sum(built.topology.replicas.values()))
+                 * (warmup_s + duration_s))
+    heal_s = None
+    if built.faults:
+        heal_s = fault_window(built.faults, duration_s, warmup_s)[1]
+    return Trial(label, {"scenario": built, "algorithm": algorithm,
+                         "duration_s": duration_s},
+                 score=partial(_elasticity_score, mode=mode, target=target,
+                               fixed_replica_seconds=fixed, heal_s=heal_s))
 
 
 def fig_elasticity(duration_s: float = 360.0, seed0: int = 1,
                    jobs: int | None = 1) -> BarExperiment:
     """Elasticity frontier: autoscaling vs the fixed-capacity corners.
 
-    Runs the ``elastic-surge`` scenario under L3 in three capacity modes
-    (see :mod:`repro.autoscale.study`): the fixed-minimum fleet
-    saturates through the surge, the fixed-maximum fleet pays for idle
-    replicas through the shoulders, and the autoscaled fleet should sit
-    between them on *both* axes — lower P99 than fixed-min, fewer
-    replica-seconds than fixed-max. ``BENCH_autoscale.json`` pins this
-    contract; the figure renders it.
+    Runs the ``elastic-surge`` scenario under L3 in the three
+    :data:`ELASTICITY_MODES`: the fixed-minimum fleet saturates through
+    the surge, the fixed-maximum fleet pays for idle replicas through the
+    shoulders, and the autoscaled fleet should sit between them on *both*
+    axes — lower P99 than fixed-min, fewer replica-seconds than
+    fixed-max. ``BENCH_autoscale.json`` pins this contract; the figure
+    renders it.
     """
-    from repro.autoscale.study import MODES, run_elasticity_cell
-
-    cells = [
-        Cell(id=mode, fn=run_elasticity_cell,
-             kwargs={"scenario": "elastic-surge", "mode": mode,
-                     "algorithm": "l3", "duration_s": duration_s,
-                     "seed": seed0})
-        for mode in MODES
-    ]
-    outcomes = run_cells(cells, jobs=jobs)
-    table = ComparisonTable(
+    trials = [elasticity_trial(mode, "elastic-surge", mode,
+                               duration_s=duration_s)
+              for mode in ELASTICITY_MODES]
+    table = _mean_table(
         f"elasticity: elastic-surge under l3 ({duration_s:.0f}s)",
-        baseline="fixed-min")
-    for mode in MODES:
-        row = outcomes[mode].unwrap()
-        table.add(mode,
-                  p50_ms=row["p50_ms"], p99_ms=row["p99_ms"],
-                  success_pct=row["success_rate"] * 100.0,
-                  replica_seconds=row["replica_seconds"],
-                  scale_events=row["scale_events"])
+        _means(trials, 1, seed0, jobs),
+        ("p50_ms", "p99_ms", "success_pct", "replica_seconds",
+         "scale_events"), baseline="fixed-min")
     return BarExperiment(
         "Elasticity", "cost vs latency: autoscale between the fixed corners",
         table)

@@ -13,7 +13,8 @@ come out per cell:
 * ``fault_p99_ms`` — client-perceived P99 during the fault,
 * ``recovery_intervals`` — reconcile intervals after the fault clears
   until a 5-second bucket's P99 is back within 10 % of the pre-fault
-  P99 (the paper's "recovers within one interval" metric).
+  P99 (the paper's "recovers within one interval" metric;
+  :func:`repro.bench.study.recovery_intervals`).
 
 Runs enable a client-side request deadline (`request_timeout_s`): the
 matrix includes blackhole outages, which are unsurvivable without one.
@@ -21,14 +22,22 @@ matrix includes blackhole outages, which are unsurvivable without one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 
 from repro.analysis.percentiles import exact_percentile
 from repro.analysis.stats import success_rate
 from repro.balancers.factory import controller_balancer_names
-from repro.bench.coordinator import ScenarioBenchConfig, run_scenario_benchmark
-from repro.bench.parallel import Cell, run_cells
+from repro.bench.coordinator import ScenarioBenchConfig
 from repro.bench.results import format_table
+from repro.bench.study import (
+    RECOVERY_BUCKET_S,
+    Trial,
+    fault_window,
+    faulted_share,
+    recovery_intervals,
+    reduce_grid,
+    run_grid,
+)
 from repro.faults import (
     ClusterOutage,
     ControllerPause,
@@ -36,7 +45,6 @@ from repro.faults import (
     ReplicaCrash,
     ScrapeOutage,
 )
-from repro.mesh.cluster import backend_name
 from repro.workloads.profiles import constant_backend_profile, constant_series
 from repro.workloads.scenarios import CLUSTERS, Scenario
 
@@ -50,10 +58,6 @@ FAULT_CLUSTER = "cluster-2"
 # well past the heal so recovery is observable.
 DEFAULT_FAULT_START_S = 60.0
 DEFAULT_FAULT_DURATION_S = 45.0
-
-# A recovery bucket matches the controller's reconcile interval.
-RECOVERY_BUCKET_S = 5.0
-RECOVERY_TOLERANCE = 0.10
 
 DEFAULT_ALGORITHMS = ("l3", "c3", "round-robin")
 
@@ -106,115 +110,38 @@ def matrix_fault_cases(start_s: float = DEFAULT_FAULT_START_S,
     }
 
 
-@dataclass
-class FaultCellResult:
-    """One (fault, algorithm) cell of the matrix.
-
-    ``faulted_share_pct`` averages over the *whole* fault window
-    (including the controller's reaction time);
-    ``shed_share_pct`` averages from 3 reconcile intervals into the fault
-    to its end — the "has the balancer rerouted" number the acceptance
-    criterion is about.
-    """
-
-    fault: str
-    algorithm: str
-    pre_p99_ms: float
-    fault_p99_ms: float
-    fault_success_pct: float
-    faulted_share_pct: float
-    shed_share_pct: float
-    recovery_intervals: int | None
-    result: object = field(repr=False, default=None)
-
-    def metrics(self) -> dict:
-        recovery = (float(self.recovery_intervals)
-                    if self.recovery_intervals is not None else None)
-        return {
-            "pre_p99_ms": self.pre_p99_ms,
-            "fault_p99_ms": self.fault_p99_ms,
-            "fault_success_pct": self.fault_success_pct,
-            "faulted_share_pct": self.faulted_share_pct,
-            "shed_share_pct": self.shed_share_pct,
-            "recovery_intervals": recovery,
-        }
-
-
 def _p99_ms(records) -> float:
     if not records:
         return float("nan")
     return exact_percentile([r.latency_s for r in records], 0.99) * 1000.0
 
 
-def faulted_share(records, fault_start_s: float, fault_end_s: float,
-                  cluster: str = FAULT_CLUSTER,
-                  service: str = "api") -> float:
-    """Fraction of during-fault requests routed to the faulted cluster."""
-    target = backend_name(service, cluster)
-    window = [r for r in records
-              if fault_start_s <= r.intended_start_s < fault_end_s]
-    if not window:
-        return 0.0
-    return sum(1 for r in window if r.backend == target) / len(window)
+def _fault_scores(result, window: tuple[float, float]) -> dict:
+    """One (fault, algorithm) run's matrix row.
 
-
-def recovery_intervals(records, fault_end_s: float, pre_fault_p99_s: float,
-                       bucket_s: float = RECOVERY_BUCKET_S,
-                       tolerance: float = RECOVERY_TOLERANCE) -> int | None:
-    """Reconcile intervals after the fault until the tail is back to normal.
-
-    Post-fault records are bucketed into reconcile-interval-sized windows;
-    the answer is the 1-based index of the first bucket whose P99 is within
-    ``tolerance`` of the pre-fault P99 (1 = recovered within one interval).
-    ``None`` means the tail never recovered inside the measured period.
+    ``faulted_share_pct`` averages over the *whole* fault window
+    (including the controller's reaction time); ``shed_share_pct``
+    averages from 3 reconcile intervals into the fault to its end — the
+    "has the balancer rerouted" number the acceptance criterion is about.
     """
-    threshold = pre_fault_p99_s * (1.0 + tolerance)
-    buckets: dict[int, list] = {}
-    for r in records:
-        if r.intended_start_s < fault_end_s:
-            continue
-        buckets.setdefault(
-            int((r.intended_start_s - fault_end_s) // bucket_s), []).append(r)
-    if not buckets:
-        return None
-    for index in range(max(buckets) + 1):
-        bucket = buckets.get(index)
-        if not bucket:
-            continue
-        if exact_percentile([r.latency_s for r in bucket], 0.99) <= threshold:
-            return index + 1
-    return None
-
-
-def run_fault_cell(fault_name: str, faults: list, algorithm: str,
-                   duration_s: float, seed: int,
-                   env: ScenarioBenchConfig) -> FaultCellResult:
-    """Run one (fault, algorithm) cell and extract its matrix metrics."""
-    scenario = steady_scenario(duration_s)
-    result = run_scenario_benchmark(
-        scenario, algorithm, duration_s=duration_s, seed=seed, env=env,
-        faults=faults)
-    # Fault times are measured-period-relative; records carry absolute
-    # simulation times — shift by the warm-up to compare them.
-    start = min(f.at_s for f in faults) + env.warmup_s
-    end = max(f.at_s + (f.duration_s or 0.0) for f in faults) + env.warmup_s
-    pre = [r for r in result.records if r.intended_start_s < start]
-    during = [r for r in result.records
-              if start <= r.intended_start_s < end]
-    pre_p99_s = (_p99_ms(pre) / 1000.0) if pre else float("nan")
+    start, end = window
+    records = result.records
+    pre = [r for r in records if r.intended_start_s < start]
+    during = [r for r in records if start <= r.intended_start_s < end]
     reacted = min(start + 3 * RECOVERY_BUCKET_S, end)
-    return FaultCellResult(
-        fault=fault_name,
-        algorithm=algorithm,
-        pre_p99_ms=_p99_ms(pre),
-        fault_p99_ms=_p99_ms(during),
-        fault_success_pct=success_rate(during) * 100.0 if during else 100.0,
-        faulted_share_pct=faulted_share(result.records, start, end) * 100.0,
-        shed_share_pct=faulted_share(result.records, reacted, end) * 100.0,
-        recovery_intervals=recovery_intervals(
-            result.records, end, pre_p99_s),
-        result=result,
-    )
+    recovery = recovery_intervals(records, start, end)
+    return {
+        "pre_p99_ms": _p99_ms(pre),
+        "fault_p99_ms": _p99_ms(during),
+        "fault_success_pct": (success_rate(during) * 100.0
+                              if during else 100.0),
+        "faulted_share_pct": faulted_share(
+            records, start, end, FAULT_CLUSTER) * 100.0,
+        "shed_share_pct": faulted_share(
+            records, reacted, end, FAULT_CLUSTER) * 100.0,
+        "recovery_intervals": (float(recovery) if recovery is not None
+                               else None),
+    }
 
 
 def run_fault_matrix(algorithms=DEFAULT_ALGORITHMS,
@@ -222,35 +149,38 @@ def run_fault_matrix(algorithms=DEFAULT_ALGORITHMS,
                      fault_start_s: float = DEFAULT_FAULT_START_S,
                      fault_duration_s: float = DEFAULT_FAULT_DURATION_S,
                      request_timeout_s: float = 1.0,
-                     jobs: int | None = 1,
-                     ) -> dict[str, dict[str, FaultCellResult]]:
+                     jobs: int | None = 1) -> dict[str, dict[str, dict]]:
     """Sweep every fault kind × every algorithm on the steady scenario.
 
-    Returns ``{fault_name: {algorithm: FaultCellResult}}``. All runs share
-    one deterministic seed, so cells differ only in their (fault,
-    algorithm) pair. ``jobs`` shards the independent cells across worker
-    processes (1 = serial, None = all CPUs); the matrix is identical for
-    every value — cells are merged in sweep order, never completion order.
+    Returns ``{fault_name: {algorithm: row}}``, each row the metrics
+    :func:`_fault_scores` names. All runs share one deterministic seed,
+    so cells differ only in their (fault, algorithm) pair. ``jobs``
+    shards the independent cells across worker processes (1 = serial,
+    None = all CPUs); the matrix is identical for every value. A fault
+    window that starts at 0 or outlasts ``duration_s`` is a
+    :class:`~repro.errors.ConfigError` before any cell runs.
     """
     env = ScenarioBenchConfig(request_timeout_s=request_timeout_s)
-    cells = []
+    scenario = steady_scenario(duration_s)
+    trials = []
     for fault_name, faults in matrix_fault_cases(
             fault_start_s, fault_duration_s).items():
+        score = partial(_fault_scores, window=fault_window(
+            faults, duration_s, env.warmup_s))
         for algorithm in algorithms:
             if (fault_name == "controller-pause"
                     and algorithm not in CONTROLLER_ALGORITHMS):
                 continue
-            cells.append(Cell(
-                id=f"{fault_name}/{algorithm}", fn=run_fault_cell,
-                kwargs={"fault_name": fault_name, "faults": faults,
-                        "algorithm": algorithm, "duration_s": duration_s,
-                        "seed": seed, "env": env}))
-    outcomes = run_cells(cells, jobs=jobs)
-    matrix: dict[str, dict[str, FaultCellResult]] = {}
-    for cell in cells:
-        fault_name, algorithm = cell.id.split("/", 1)
-        matrix.setdefault(fault_name, {})[algorithm] = (
-            outcomes[cell.id].unwrap())
+            trials.append(Trial(
+                f"{fault_name}/{algorithm}", score=score,
+                kwargs={"scenario": scenario, "algorithm": algorithm,
+                        "duration_s": duration_s, "env": env,
+                        "faults": faults}))
+    rows = reduce_grid(run_grid(trials, seeds=(seed,), jobs=jobs))
+    matrix: dict[str, dict[str, dict]] = {}
+    for label, row in rows.items():
+        fault_name, algorithm = label.split("/", 1)
+        matrix.setdefault(fault_name, {})[algorithm] = row
     return matrix
 
 
@@ -258,7 +188,6 @@ def render_fault_matrix(matrix: dict) -> str:
     """Render the matrix as one table per fault kind."""
     sections = []
     for fault_name, row in matrix.items():
-        rows = {alg: cell.metrics() for alg, cell in row.items()}
         sections.append(format_table(
-            f"fault matrix — {fault_name}", rows, baseline=None))
+            f"fault matrix — {fault_name}", row, baseline=None))
     return "\n\n".join(sections)

@@ -25,33 +25,17 @@ Determinism contract:
 runs the cells inline, preserving the pre-parallel behavior exactly —
 including exception *recording* semantics, so serial and parallel runs
 are comparable error-for-error.
-
-On-disk cell cache (opt-in): setting ``REPRO_BENCH_CACHE=<dir>`` makes
-:func:`run_cells` memoise successful cell outcomes under ``<dir>``, keyed
-by a content digest of the cell's work — the callable's qualified name
-plus its full kwargs (scenario, algorithm, seed, duration, …) and the
-package version. Since a cell is a pure function of its kwargs, a hit is
-byte-identical to a re-run *for unchanged code*; the cache is meant for
-iterating on analysis/plotting layers above a fixed sweep, and a stale
-directory is the user's to delete. Errors are never cached, and any
-cache-layer failure (unpicklable value, unwritable directory, corrupt
-entry) silently falls back to just running the cell.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import pickle
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
-
-CACHE_ENV_VAR = "REPRO_BENCH_CACHE"
 
 
 @dataclass(frozen=True)
@@ -61,7 +45,8 @@ class Cell:
     Attributes:
         id: unique key the result is merged under (e.g.
             ``"scenario-1/l3/seed3"``).
-        fn: a module-level callable (must be picklable for ``jobs > 1``).
+        fn: a callable, picklable for ``jobs > 1`` (a module-level
+            function, or an instance such as a study ``Trial``).
         kwargs: keyword arguments, including the cell's own seed.
     """
 
@@ -107,64 +92,6 @@ def _run_cell(cell: Cell) -> CellOutcome:
         return CellOutcome(cell_id=cell.id, error=traceback.format_exc())
 
 
-# --------------------------------------------------------------------- #
-# On-disk cell cache (REPRO_BENCH_CACHE)
-# --------------------------------------------------------------------- #
-
-def cell_cache_key(cell: Cell) -> str | None:
-    """Content digest identifying one cell's work, or ``None``.
-
-    Covers the callable's qualified name, every kwarg (the seed,
-    scenario, algorithm and duration all live there) and the package
-    version. Cells whose kwargs are not JSON-representable (live
-    objects, callables) are uncacheable and return ``None``.
-    """
-    from repro import __version__
-
-    fn = cell.fn
-    ident = (f"{getattr(fn, '__module__', '?')}."
-             f"{getattr(fn, '__qualname__', repr(fn))}")
-    try:
-        blob = json.dumps(
-            {"v": __version__, "fn": ident, "kwargs": cell.kwargs},
-            sort_keys=True, separators=(",", ":"))
-    except (TypeError, ValueError):
-        return None
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-# Distinguishes "no cache entry" from a legitimately-``None`` cached value.
-_CACHE_MISS = object()
-
-
-def _cache_load(cache_dir: str, key: str):
-    """The cached value for ``key``, or ``_CACHE_MISS``."""
-    path = os.path.join(cache_dir, f"{key}.pkl")
-    try:
-        with open(path, "rb") as fh:
-            return pickle.load(fh)
-    except (OSError, pickle.PickleError, EOFError, AttributeError,
-            ImportError, MemoryError):
-        return _CACHE_MISS
-
-
-def _cache_store(cache_dir: str, key: str, outcome: CellOutcome) -> None:
-    if not outcome.ok:
-        return  # errors are retried, never replayed
-    path = os.path.join(cache_dir, f"{key}.pkl")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(tmp, "wb") as fh:
-            pickle.dump(outcome.value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)  # atomic: readers never see a partial file
-    except (OSError, pickle.PickleError):
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
 def run_cells(cells, jobs: int | None = 1) -> dict[str, CellOutcome]:
     """Run independent sweep cells, optionally across worker processes.
 
@@ -188,36 +115,10 @@ def run_cells(cells, jobs: int | None = 1) -> dict[str, CellOutcome]:
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1 (or None for all CPUs): {jobs}")
 
-    # Opt-in on-disk cache: satisfy what we can from disk, run the rest.
-    cache_dir = os.environ.get(CACHE_ENV_VAR)
-    cached: dict[str, CellOutcome] = {}
-    keys: dict[str, str] = {}
-    pending = cells
-    if cache_dir:
-        pending = []
-        for cell in cells:
-            key = cell_cache_key(cell)
-            if key is None:
-                pending.append(cell)
-                continue
-            keys[cell.id] = key
-            value = _cache_load(cache_dir, key)
-            if value is _CACHE_MISS:
-                pending.append(cell)
-            else:
-                cached[cell.id] = CellOutcome(cell_id=cell.id, value=value)
-
-    if jobs == 1 or len(pending) <= 1:
-        outcomes = {cell.id: _run_cell(cell) for cell in pending}
+    if jobs == 1 or len(cells) <= 1:
+        outcomes = {cell.id: _run_cell(cell) for cell in cells}
     else:
-        outcomes = _run_cells_in_pool(pending, min(jobs, len(pending)))
-
-    if cache_dir:
-        for cell_id, outcome in outcomes.items():
-            key = keys.get(cell_id)
-            if key is not None:
-                _cache_store(cache_dir, key, outcome)
-        outcomes.update(cached)
+        outcomes = _run_cells_in_pool(cells, min(jobs, len(cells)))
     # Ordered merge: input order, not completion order.
     return {cell.id: outcomes[cell.id] for cell in cells}
 

@@ -7,8 +7,8 @@ deterministic parallel sweep executor, scores each cell on tail latency,
 success rate and post-perturbation convergence time, and reduces the
 scores to a leaderboard: per-metric win rates plus a P99 head-to-head
 table, rendered as JSON and as ASCII tables. ``repro tournament`` is the
-CLI front end; ``benchmarks/bench_tournament.py`` maintains the
-committed baseline.
+CLI front end; ``repro tournament --jobs 0 --output BENCH_tournament.json``
+regenerates the committed baseline.
 """
 
 from repro.tournament.grid import (
@@ -24,16 +24,13 @@ from repro.tournament.leaderboard import (
     render_leaderboard,
 )
 from repro.tournament.runner import (
-    CellScore,
     TournamentResult,
     check_contract,
     run_tournament,
-    run_tournament_cell,
     tournament_json,
 )
 
 __all__ = [
-    "CellScore",
     "LEADERBOARD_METRICS",
     "TOURNAMENT_SCENARIO_NAMES",
     "TournamentResult",
@@ -44,7 +41,6 @@ __all__ = [
     "render_leaderboard",
     "select_scenarios",
     "run_tournament",
-    "run_tournament_cell",
     "tournament_json",
     "tournament_scenarios",
 ]

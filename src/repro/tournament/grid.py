@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.fault_matrix import FAULT_CLUSTER, steady_scenario
+from repro.bench.fault_matrix import FAULT_CLUSTER
 from repro.errors import ConfigError
 from repro.faults import ClusterOutage, LinkDegradation
 
@@ -57,15 +57,10 @@ class TournamentScenario:
     name: str
     base: str | None
     faults: tuple = ()
-    perturbed: bool = False
 
-    def fault_window(self, duration_s: float) -> tuple[float, float]:
-        """(start, end) of the fault, measured-period-relative seconds."""
-        if not self.perturbed:
-            raise ConfigError(f"scenario {self.name!r} has no fault window")
-        start = min(f.at_s for f in self.faults)
-        end = max(f.at_s + (f.duration_s or 0.0) for f in self.faults)
-        return start, end
+    @property
+    def perturbed(self) -> bool:
+        return bool(self.faults)
 
 
 def tournament_scenarios(duration_s: float) -> tuple[TournamentScenario, ...]:
@@ -77,12 +72,12 @@ def tournament_scenarios(duration_s: float) -> tuple[TournamentScenario, ...]:
     cells = [TournamentScenario(name, base=name)
              for name in TRACE_SCENARIOS]
     cells.append(TournamentScenario(
-        "degraded-backend", base=None, perturbed=True,
+        "degraded-backend", base=None,
         faults=(LinkDegradation("cluster-1", FAULT_CLUSTER, at_s=start,
                                 duration_s=length, multiplier=20.0,
                                 extra_delay_s=0.200),)))
     cells.append(TournamentScenario(
-        "outage", base=None, perturbed=True,
+        "outage", base=None,
         faults=(ClusterOutage(FAULT_CLUSTER, at_s=start,
                               duration_s=length, mode="fail_fast"),)))
     return tuple(cells)

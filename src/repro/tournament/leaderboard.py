@@ -18,6 +18,8 @@ The overall ranking orders algorithms by summed wins across metrics
 
 from __future__ import annotations
 
+from repro.bench.results import format_table
+
 #: metric -> direction; "lower" wins by minimum, "higher" by maximum.
 LEADERBOARD_METRICS = {
     "p99_ms": "lower",
@@ -26,16 +28,9 @@ LEADERBOARD_METRICS = {
 }
 
 
-def _metric_value(score, metric: str):
-    value = score.metrics()[metric] if hasattr(score, "metrics") else (
-        score[metric])
-    return value
-
-
 def _contest(row: dict, metric: str, direction: str) -> list[str]:
     """Winners of one scenario column on one metric (ties share)."""
-    values = {alg: _metric_value(score, metric)
-              for alg, score in row.items()}
+    values = {alg: score[metric] for alg, score in row.items()}
     present = {alg: v for alg, v in values.items() if v is not None}
     if not present:
         return []
@@ -80,8 +75,7 @@ def build_leaderboard(result) -> dict:
         a: {b: 0 for b in algorithms if b != a} for a in algorithms
     }
     for row in result.scores.values():
-        p99 = {alg: _metric_value(score, "p99_ms")
-               for alg, score in row.items()}
+        p99 = {alg: score["p99_ms"] for alg, score in row.items()}
         for a in algorithms:
             for b in algorithms:
                 if a != b and p99[a] < p99[b]:
@@ -101,22 +95,17 @@ def build_leaderboard(result) -> dict:
 
 def render_grid(result) -> str:
     """The scored grid, one ASCII table per scenario."""
-    from repro.bench.results import format_table
-
     sections = []
     for scenario, row in result.scores.items():
-        rows = {alg: score.metrics() for alg, score in row.items()}
-        baseline = "round-robin" if "round-robin" in rows else None
+        baseline = "round-robin" if "round-robin" in row else None
         sections.append(format_table(
             f"tournament — {scenario} ({result.duration_s:.0f}s, "
-            f"{result.repetitions} rep)", rows, baseline=baseline))
+            f"{result.repetitions} rep)", row, baseline=baseline))
     return "\n\n".join(sections)
 
 
 def render_leaderboard(board: dict) -> str:
     """The leaderboard document as ASCII tables, ranking order."""
-    from repro.bench.results import format_table
-
     ranking = board["ranking"]
     rows = {}
     for alg in ranking:

@@ -1,59 +1,40 @@
 """Tournament execution: the grid, the scores, the deterministic sweep.
 
-One tournament cell is one ``(scenario, algorithm, repetition)`` triple
-run through :func:`repro.bench.coordinator.run_scenario_benchmark` and
-reduced to a :class:`CellScore` — P99/P50, success rate, and (for the
-perturbation cells) the convergence time after the fault heals, measured
-with the fault matrix's recovery-bucket rule. Cells are independent, so
-the whole grid fans out through :func:`repro.bench.parallel.run_cells`
-with explicit per-cell seeds and an ordered merge: the result — and the
-JSON document :func:`tournament_json` derives from it — is byte-identical
-for every ``jobs`` value.
+One tournament cell is one ``(scenario, algorithm, repetition)`` triple,
+declared as a :class:`~repro.bench.study.Trial` and scored in its worker
+to P50/P99, success rate, request count and — on the perturbation cells
+— the convergence time after the fault heals
+(:func:`~repro.bench.study.recovery_intervals` buckets). The grid runs
+through :func:`~repro.bench.study.run_grid` and the repetitions reduce
+through :func:`~repro.bench.study.reduce_rows`: the result — and the
+JSON document :func:`tournament_json` derives from it — is
+byte-identical for every ``jobs`` value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.balancers.factory import BALANCER_NAMES
-from repro.bench.coordinator import ScenarioBenchConfig, run_scenario_benchmark
-from repro.bench.fault_matrix import (
+from repro.bench.coordinator import ScenarioBenchConfig
+from repro.bench.fault_matrix import steady_scenario
+from repro.bench.study import (
     RECOVERY_BUCKET_S,
+    Trial,
+    fault_window,
+    latency,
     recovery_intervals,
-    steady_scenario,
+    reduce_grid,
+    run_grid,
 )
-from repro.bench.parallel import Cell, run_cells
 from repro.errors import ConfigError
-from repro.tournament.grid import TournamentScenario, select_scenarios
+from repro.tournament.grid import select_scenarios
 from repro.tournament.leaderboard import build_leaderboard
 
 # Round scores to this many decimals in the JSON document: enough to
 # rank on, few enough that the committed baseline stays readable.
 _JSON_DECIMALS = 3
-
-
-@dataclass(frozen=True)
-class CellScore:
-    """What one tournament cell is judged on."""
-
-    p50_ms: float
-    p99_ms: float
-    success_rate: float
-    requests: int
-    #: Seconds after the fault heals until a recovery bucket's P99 is
-    #: back within tolerance of the pre-fault P99. ``None`` on the
-    #: unperturbed trace cells — and on perturbed cells whose tail never
-    #: recovered inside the measured period (ranked worst).
-    convergence_s: float | None = None
-
-    def metrics(self) -> dict:
-        return {
-            "p50_ms": self.p50_ms,
-            "p99_ms": self.p99_ms,
-            "success_rate": self.success_rate,
-            "requests": self.requests,
-            "convergence_s": self.convergence_s,
-        }
 
 
 @dataclass
@@ -65,67 +46,27 @@ class TournamentResult:
     duration_s: float
     repetitions: int
     seed0: int
-    #: ``{scenario: {algorithm: CellScore}}`` averaged over repetitions.
+    #: ``{scenario: {algorithm: score row}}`` averaged over repetitions;
+    #: a row holds ``p50_ms``, ``p99_ms``, ``success_rate``, ``requests``
+    #: and ``convergence_s`` — seconds after the heal until the tail
+    #: recovered, ``None`` on the trace cells and on perturbed cells that
+    #: never recovered (ranked worst).
     scores: dict = field(default_factory=dict)
 
-    def score(self, scenario: str, algorithm: str) -> CellScore:
+    def score(self, scenario: str, algorithm: str) -> dict:
         return self.scores[scenario][algorithm]
 
 
-def run_tournament_cell(scenario_name: str, algorithm: str,
-                        duration_s: float, seed: int) -> CellScore:
-    """Run one (scenario, algorithm) cell and reduce it to its scores.
-
-    Module-level and JSON-kwarg-only: picklable for worker processes and
-    cacheable under ``REPRO_BENCH_CACHE``.
-    """
-    [cell] = select_scenarios(duration_s, [scenario_name])
-    env = ScenarioBenchConfig()
-    if cell.base is None:
-        scenario = steady_scenario(duration_s)
-    else:
-        scenario = cell.base
-    result = run_scenario_benchmark(
-        scenario, algorithm, duration_s=duration_s, seed=seed, env=env,
-        faults=list(cell.faults))
-    convergence_s = None
-    if cell.perturbed:
-        start, end = cell.fault_window(duration_s)
-        # Fault times are measured-period-relative; records carry
-        # absolute simulation time — shift by the warm-up.
-        start += env.warmup_s
-        end += env.warmup_s
-        pre = [r.latency_s for r in result.records
-               if r.intended_start_s < start]
-        if pre:
-            from repro.analysis.percentiles import exact_percentile
-
-            intervals = recovery_intervals(
-                result.records, end, exact_percentile(pre, 0.99))
-            if intervals is not None:
-                convergence_s = intervals * RECOVERY_BUCKET_S
-    return CellScore(
-        p50_ms=result.p50_ms,
-        p99_ms=result.p99_ms,
-        success_rate=result.success_rate,
-        requests=result.request_count,
-        convergence_s=convergence_s,
-    )
-
-
-def _mean_scores(scores: list[CellScore]) -> CellScore:
-    """Average repetition scores (convergence over recovered reps only)."""
-    n = len(scores)
-    recovered = [s.convergence_s for s in scores
-                 if s.convergence_s is not None]
-    return CellScore(
-        p50_ms=sum(s.p50_ms for s in scores) / n,
-        p99_ms=sum(s.p99_ms for s in scores) / n,
-        success_rate=sum(s.success_rate for s in scores) / n,
-        requests=round(sum(s.requests for s in scores) / n),
-        convergence_s=(sum(recovered) / len(recovered)
-                       if recovered else None),
-    )
+def _score(result, window=None) -> dict:
+    """One run's tournament row (see :attr:`TournamentResult.scores`)."""
+    row = latency(result)
+    del row["p90_ms"]
+    row["convergence_s"] = None
+    if window is not None:
+        intervals = recovery_intervals(result.records, *window)
+        if intervals is not None:
+            row["convergence_s"] = intervals * RECOVERY_BUCKET_S
+    return row
 
 
 def run_tournament(algorithms=None, scenarios=None,
@@ -152,36 +93,30 @@ def run_tournament(algorithms=None, scenarios=None,
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1: {repetitions}")
     grid = select_scenarios(duration_s, scenarios)
-    cells = []
+    warmup_s = ScenarioBenchConfig().warmup_s
+    trials = []
     for cell in grid:
+        score = _score
+        if cell.perturbed:
+            score = partial(_score, window=fault_window(
+                cell.faults, duration_s, warmup_s))
         for algorithm in algorithms:
-            for rep in range(repetitions):
-                cells.append(Cell(
-                    id=f"{cell.name}/{algorithm}#rep{rep}",
-                    fn=run_tournament_cell,
-                    kwargs={"scenario_name": cell.name,
-                            "algorithm": algorithm,
-                            "duration_s": duration_s,
-                            "seed": seed0 + rep}))
-    outcomes = run_cells(cells, jobs=jobs)
+            trials.append(Trial(
+                f"{cell.name}/{algorithm}", score=score,
+                kwargs={"scenario": cell.base or steady_scenario(duration_s),
+                        "algorithm": algorithm, "duration_s": duration_s,
+                        "faults": list(cell.faults)}))
+    rows = reduce_grid(run_grid(
+        trials, seeds=range(seed0, seed0 + repetitions), jobs=jobs))
     result = TournamentResult(
         algorithms=tuple(algorithms),
         scenarios=tuple(c.name for c in grid),
         duration_s=duration_s, repetitions=repetitions, seed0=seed0)
     for cell in grid:
-        row = {}
-        for algorithm in algorithms:
-            reps = [outcomes[f"{cell.name}/{algorithm}#rep{r}"].unwrap()
-                    for r in range(repetitions)]
-            row[algorithm] = _mean_scores(reps)
-        result.scores[cell.name] = row
+        result.scores[cell.name] = {
+            algorithm: rows[f"{cell.name}/{algorithm}"]
+            for algorithm in algorithms}
     return result
-
-
-def _round(value):
-    if isinstance(value, float):
-        return round(value, _JSON_DECIMALS)
-    return value
 
 
 def tournament_json(result: TournamentResult) -> dict:
@@ -202,8 +137,9 @@ def tournament_json(result: TournamentResult) -> dict:
         },
         "grid": {
             scenario: {
-                algorithm: {key: _round(value)
-                            for key, value in score.metrics().items()}
+                algorithm: {key: (round(value, _JSON_DECIMALS)
+                                  if isinstance(value, float) else value)
+                            for key, value in score.items()}
                 for algorithm, score in row.items()
             }
             for scenario, row in result.scores.items()
@@ -228,8 +164,8 @@ def check_contract(result: TournamentResult) -> list[str]:
             failures.append(f"contract needs algorithm {name!r} in the grid")
     if failures:
         return failures
-    l3_p99 = row["l3"].p99_ms
-    rr_p99 = row["round-robin"].p99_ms
+    l3_p99 = row["l3"]["p99_ms"]
+    rr_p99 = row["round-robin"]["p99_ms"]
     if not l3_p99 < rr_p99:
         failures.append(
             f"l3 did not beat round-robin on degraded-backend P99: "

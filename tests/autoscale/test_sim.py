@@ -5,13 +5,13 @@ import dataclasses
 
 import pytest
 
-from repro.autoscale.study import (
+from repro.bench.coordinator import run_scenario_benchmark
+from repro.bench.experiments import elasticity_trial
+from repro.bench.study import (
     count_replica_flaps,
     count_weight_flaps,
-    run_elasticity_cell,
+    run_grid,
 )
-from repro.bench.coordinator import run_scenario_benchmark
-from repro.bench.parallel import Cell, run_cells
 from repro.errors import ConfigError
 from repro.sim.shard import run_sharded_benchmark
 from repro.workloads.scenarios import build_scenario
@@ -22,9 +22,10 @@ SHORT = 90.0
 class TestSurgeRun:
     @pytest.fixture(scope="class")
     def cell(self):
-        return run_elasticity_cell(scenario="elastic-surge",
-                                   mode="autoscale", duration_s=SHORT,
-                                   seed=3)
+        trial = elasticity_trial("surge", "elastic-surge", "autoscale",
+                                 duration_s=SHORT)
+        [row] = run_grid([trial], seeds=(3,))["surge"]
+        return row
 
     def test_scaler_fires_and_stays_in_bounds(self, cell):
         assert cell["scale_events"] > 0
@@ -68,14 +69,12 @@ class TestSurgeRun:
 
 class TestJobsDeterminism:
     def test_outcomes_identical_across_worker_counts(self):
-        cells = [Cell(id=mode, fn=run_elasticity_cell,
-                      kwargs={"scenario": "elastic-surge", "mode": mode,
-                              "duration_s": 60.0, "seed": 3})
-                 for mode in ("autoscale", "fixed-min")]
-        serial = run_cells(cells, jobs=1)
-        forked = run_cells(cells, jobs=2)
-        assert {k: v.unwrap() for k, v in serial.items()} \
-            == {k: v.unwrap() for k, v in forked.items()}
+        trials = [elasticity_trial(mode, "elastic-surge", mode,
+                                   duration_s=60.0)
+                  for mode in ("autoscale", "fixed-min")]
+        serial = run_grid(trials, seeds=(3,), jobs=1)
+        forked = run_grid(trials, seeds=(3,), jobs=2)
+        assert serial == forked
 
 
 class TestEngineGuards:

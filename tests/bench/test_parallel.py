@@ -7,11 +7,9 @@ import os
 import pytest
 
 from repro.bench.parallel import (
-    CACHE_ENV_VAR,
     Cell,
     CellFailed,
     CellOutcome,
-    cell_cache_key,
     default_jobs,
     run_cells,
 )
@@ -115,75 +113,3 @@ class TestParallel:
     def test_jobs_none_uses_all_cpus(self):
         outcomes = run_cells(_cells(_square, [1, 2]), jobs=None)
         assert [o.value for o in outcomes.values()] == [1, 4]
-
-
-_CALLS: list = []
-
-
-def _counted_square(x):
-    _CALLS.append(x)
-    return x * x
-
-
-def _typename(obj):
-    return type(obj).__name__
-
-
-class TestDiskCache:
-    """The opt-in REPRO_BENCH_CACHE memoisation layer."""
-
-    @pytest.fixture(autouse=True)
-    def _reset_calls(self):
-        _CALLS.clear()
-
-    def test_key_depends_on_kwargs(self):
-        a, b = _cells(_square, [1, 2])
-        assert cell_cache_key(a) is not None
-        assert cell_cache_key(a) == cell_cache_key(a)
-        assert cell_cache_key(a) != cell_cache_key(b)
-
-    def test_unserialisable_kwargs_are_uncacheable(self):
-        cell = Cell(id="live", fn=_square, kwargs={"x": object()})
-        assert cell_cache_key(cell) is None
-
-    def test_hit_skips_the_run(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-        cells = _cells(_counted_square, [3])
-        first = run_cells(cells, jobs=1)
-        second = run_cells(cells, jobs=1)
-        assert _CALLS == [3]  # second sweep served from disk
-        assert first["cell-3"].value == second["cell-3"].value == 9
-
-    def test_disabled_without_env_var(self, monkeypatch):
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        cells = _cells(_counted_square, [3])
-        run_cells(cells, jobs=1)
-        run_cells(cells, jobs=1)
-        assert _CALLS == [3, 3]
-
-    def test_errors_are_retried_not_replayed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-        cells = _cells(_boom, [5])
-        assert not run_cells(cells, jobs=1)["cell-5"].ok
-        assert not run_cells(cells, jobs=1)["cell-5"].ok
-        assert list(tmp_path.iterdir()) == []  # nothing was cached
-
-    def test_corrupt_entry_falls_back_to_running(self, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-        cell = _cells(_counted_square, [4])[0]
-        key = cell_cache_key(cell)
-        (tmp_path / f"{key}.pkl").write_bytes(b"not a pickle")
-        outcomes = run_cells([cell], jobs=1)
-        assert outcomes["cell-4"].value == 16
-        assert _CALLS == [4]
-
-    def test_uncacheable_cell_still_runs_with_cache_on(self, tmp_path,
-                                                       monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-        plain = Cell(id="plain", fn=_square, kwargs={"x": 6})
-        live = Cell(id="live", fn=_typename, kwargs={"obj": object()})
-        assert cell_cache_key(live) is None
-        outcomes = run_cells([plain, live], jobs=1)
-        assert outcomes["plain"].value == 36
-        assert outcomes["live"].value == "object"

@@ -13,11 +13,8 @@ steady scenario while the client has a 1-second deadline, and
 import pytest
 
 from repro.bench.coordinator import ScenarioBenchConfig, run_scenario_benchmark
-from repro.bench.fault_matrix import (
-    faulted_share,
-    recovery_intervals,
-    steady_scenario,
-)
+from repro.bench.fault_matrix import FAULT_CLUSTER, steady_scenario
+from repro.bench.study import faulted_share, recovery_intervals
 from repro.faults import ClusterOutage, ScrapeOutage
 
 SEED = 1
@@ -65,7 +62,8 @@ class TestBlackholeOutage:
         # the dead cluster (acceptance: >= 90 % shifted off).
         after_reaction = faulted_share(
             blackhole_run.records,
-            shifted(40.0 + 3 * RECONCILE_INTERVAL_S), shifted(80.0))
+            shifted(40.0 + 3 * RECONCILE_INTERVAL_S), shifted(80.0),
+            FAULT_CLUSTER)
         assert after_reaction < 0.10
 
     def test_success_rate_recovers_during_the_outage(self, blackhole_run):
@@ -76,18 +74,17 @@ class TestBlackholeOutage:
 
     def test_traffic_rebalances_after_restart(self, blackhole_run):
         during = faulted_share(
-            blackhole_run.records, shifted(55.0), shifted(80.0))
+            blackhole_run.records, shifted(55.0), shifted(80.0),
+            FAULT_CLUSTER)
         after = faulted_share(
-            blackhole_run.records, shifted(95.0), shifted(DURATION_S))
+            blackhole_run.records, shifted(95.0), shifted(DURATION_S),
+            FAULT_CLUSTER)
         assert after > during
         assert after > 0.15  # back toward its ~1/3 steady-state share
 
     def test_tail_latency_recovers_after_restart(self, blackhole_run):
-        pre = [r for r in blackhole_run.records
-               if r.intended_start_s < shifted(40.0)]
-        pre_p99_s = sorted(r.latency_s for r in pre)[int(0.99 * len(pre))]
         assert recovery_intervals(
-            blackhole_run.records, shifted(80.0), pre_p99_s) is not None
+            blackhole_run.records, shifted(40.0), shifted(80.0)) is not None
 
     def test_run_is_deterministic(self, blackhole_run):
         repeat = run_scenario_benchmark(

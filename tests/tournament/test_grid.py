@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.study import fault_window
 from repro.errors import ConfigError
 from repro.tournament.grid import (
     PERTURBATION_SCENARIOS,
@@ -35,13 +36,13 @@ class TestGrid:
         cells = {c.name: c for c in tournament_scenarios(120.0)}
         assert not cells["scenario-1"].perturbed
         with pytest.raises(ConfigError, match="no fault window"):
-            cells["scenario-1"].fault_window(120.0)
+            fault_window(cells["scenario-1"].faults, 120.0)
 
     def test_fault_window_scales_with_duration(self):
         for duration in (40.0, 120.0, 600.0):
             cells = {c.name: c for c in tournament_scenarios(duration)}
             for name in PERTURBATION_SCENARIOS:
-                start, end = cells[name].fault_window(duration)
+                start, end = fault_window(cells[name].faults, duration)
                 assert start == pytest.approx(duration * 0.375)
                 assert end == pytest.approx(duration * 0.625)
 

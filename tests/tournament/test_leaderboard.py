@@ -1,7 +1,7 @@
 """Leaderboard math on synthetic scored grids (no simulation)."""
 
 from repro.tournament.leaderboard import LEADERBOARD_METRICS, build_leaderboard
-from repro.tournament.runner import CellScore, TournamentResult, check_contract
+from repro.tournament.runner import TournamentResult, check_contract
 
 
 def make_result(scores: dict, algorithms=None) -> TournamentResult:
@@ -13,9 +13,9 @@ def make_result(scores: dict, algorithms=None) -> TournamentResult:
         duration_s=60.0, repetitions=1, seed0=1, scores=scores)
 
 
-def score(p99, success=1.0, convergence=None) -> CellScore:
-    return CellScore(p50_ms=p99 / 2, p99_ms=p99, success_rate=success,
-                     requests=1000, convergence_s=convergence)
+def score(p99, success=1.0, convergence=None) -> dict:
+    return {"p50_ms": p99 / 2, "p99_ms": p99, "success_rate": success,
+            "requests": 1000, "convergence_s": convergence}
 
 
 class TestBuildLeaderboard:

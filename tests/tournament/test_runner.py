@@ -4,14 +4,9 @@ import json
 
 import pytest
 
+from repro.bench.study import reduce_rows
 from repro.errors import ConfigError
-from repro.tournament.runner import (
-    CellScore,
-    _mean_scores,
-    run_tournament,
-    run_tournament_cell,
-    tournament_json,
-)
+from repro.tournament.runner import run_tournament, tournament_json
 
 # Short enough for CI, long enough that the perturbation cells hold a
 # complete fault window with a pre-fault baseline on either side.
@@ -33,14 +28,14 @@ class TestRunTournament:
         for scenario in tiny_result.scenarios:
             for algorithm in tiny_result.algorithms:
                 score = tiny_result.score(scenario, algorithm)
-                assert score.requests > 50
-                assert score.p50_ms <= score.p99_ms
-                assert 0.0 <= score.success_rate <= 1.0
+                assert score["requests"] > 50
+                assert score["p50_ms"] <= score["p99_ms"]
+                assert 0.0 <= score["success_rate"] <= 1.0
 
     def test_convergence_only_on_perturbed_cells(self, tiny_result):
         for algorithm in tiny_result.algorithms:
             assert tiny_result.score(
-                "scenario-1", algorithm).convergence_s is None
+                "scenario-1", algorithm)["convergence_s"] is None
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError, match="round-robin"):
@@ -67,9 +62,9 @@ class TestRunTournament:
         assert serial_blob == parallel_blob
 
     def test_cell_matches_grid_entry(self, tiny_result):
-        cell = run_tournament_cell(
-            scenario_name="scenario-1", algorithm="p2c",
-            duration_s=DURATION_S, seed=1)
+        cell = run_tournament(
+            algorithms=["p2c"], scenarios=["scenario-1"],
+            duration_s=DURATION_S).score("scenario-1", "p2c")
         assert cell == tiny_result.score("scenario-1", "p2c")
 
 
@@ -101,23 +96,25 @@ class TestTournamentJson:
 
 
 class TestMeanScores:
+    """Repetitions reduce through the study layer's one reducer."""
+
     def test_averages_and_rounds(self):
-        mean = _mean_scores([
-            CellScore(p50_ms=10.0, p99_ms=100.0, success_rate=1.0,
-                      requests=100, convergence_s=10.0),
-            CellScore(p50_ms=20.0, p99_ms=200.0, success_rate=0.5,
-                      requests=101, convergence_s=None),
+        mean = reduce_rows([
+            {"p50_ms": 10.0, "p99_ms": 100.0, "success_rate": 1.0,
+             "requests": 100, "convergence_s": 10.0},
+            {"p50_ms": 20.0, "p99_ms": 200.0, "success_rate": 0.5,
+             "requests": 101, "convergence_s": None},
         ])
-        assert mean.p50_ms == 15.0
-        assert mean.p99_ms == 150.0
-        assert mean.success_rate == 0.75
-        assert mean.requests == 100
+        assert mean["p50_ms"] == 15.0
+        assert mean["p99_ms"] == 150.0
+        assert mean["success_rate"] == 0.75
+        assert mean["requests"] == 100
         # Convergence averages over the repetitions that recovered.
-        assert mean.convergence_s == 10.0
+        assert mean["convergence_s"] == 10.0
 
     def test_all_unrecovered_stays_none(self):
-        mean = _mean_scores([
-            CellScore(p50_ms=1.0, p99_ms=2.0, success_rate=1.0,
-                      requests=10, convergence_s=None),
+        mean = reduce_rows([
+            {"p50_ms": 1.0, "p99_ms": 2.0, "success_rate": 1.0,
+             "requests": 10, "convergence_s": None},
         ])
-        assert mean.convergence_s is None
+        assert mean["convergence_s"] is None
