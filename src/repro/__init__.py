@@ -24,51 +24,7 @@ Quickstart::
     print(result.p99_ms, result.success_rate)
 """
 
-from repro.autoscale import AutoscalePolicy, parse_autoscale_spec
-from repro.bench.coordinator import (
-    BenchmarkResult,
-    ScenarioBenchConfig,
-    run_callgraph_benchmark,
-    run_hotel_benchmark,
-    run_scenario_benchmark,
-    run_social_benchmark,
-)
-from repro.core.config import L3Config
-from repro.core.controller import L3Controller, MetricSample
-from repro.core.cost import CostConfig
-from repro.core.ewma import Ewma, PeakEwma, half_life_to_beta
-from repro.core.rate_control import apply_rate_control, relative_change
-from repro.core.weighting import (
-    BackendSnapshot,
-    WeightingConfig,
-    compute_weights,
-)
-from repro.core.introspection import ControllerIntrospection
-from repro.core.leader import ControllerReplica, LeaseLock
-from repro.balancers.factory import BALANCER_NAMES, make_balancer
-from repro.faults import (
-    ClusterOutage,
-    ControllerPause,
-    Fault,
-    FaultInjector,
-    LinkDegradation,
-    LinkPartition,
-    ReplicaCrash,
-    ReplicaRestart,
-    ScrapeOutage,
-    parse_fault_spec,
-)
-from repro.live.harness import LiveConfig, LiveHarness, run_live
-from repro.mesh.ejection import OutlierEjectionConfig
-from repro.tracing import (
-    DecisionAuditLog,
-    MeshTracer,
-    TracingConfig,
-    export_trace,
-    scenario_from_otlp,
-)
-from repro.workloads.scenarios import SCENARIO_NAMES, build_scenario
-from repro.workloads.traceio import load_scenario, save_scenario
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -123,3 +79,35 @@ __all__ = [
     "scenario_from_otlp",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.autoscale.policy": ("AutoscalePolicy",),
+    "repro.autoscale.spec": ("parse_autoscale_spec",),
+    "repro.bench.coordinator": (
+        "BenchmarkResult", "ScenarioBenchConfig", "run_callgraph_benchmark",
+        "run_hotel_benchmark", "run_scenario_benchmark",
+        "run_social_benchmark"),
+    "repro.core.config": ("L3Config",),
+    "repro.core.controller": ("L3Controller", "MetricSample"),
+    "repro.core.cost": ("CostConfig",),
+    "repro.core.ewma": ("Ewma", "PeakEwma", "half_life_to_beta"),
+    "repro.core.rate_control": ("apply_rate_control", "relative_change"),
+    "repro.core.weighting": (
+        "BackendSnapshot", "WeightingConfig", "compute_weights"),
+    "repro.core.introspection": ("ControllerIntrospection",),
+    "repro.core.leader": ("ControllerReplica", "LeaseLock"),
+    "repro.balancers.factory": ("BALANCER_NAMES", "make_balancer"),
+    "repro.faults.base": ("Fault", "FaultInjector"),
+    "repro.faults.faults": (
+        "ClusterOutage", "ControllerPause", "LinkDegradation",
+        "LinkPartition", "ReplicaCrash", "ReplicaRestart", "ScrapeOutage"),
+    "repro.faults.spec": ("parse_fault_spec",),
+    "repro.live.harness": ("LiveConfig", "run_live"),
+    "repro.live.runtime": ("LiveHarness",),
+    "repro.mesh.ejection": ("OutlierEjectionConfig",),
+    "repro.tracing.audit": ("DecisionAuditLog",),
+    "repro.tracing.recorder": ("MeshTracer", "TracingConfig"),
+    "repro.tracing.export": ("export_trace", "scenario_from_otlp"),
+    "repro.workloads.scenarios": ("SCENARIO_NAMES", "build_scenario"),
+    "repro.workloads.traceio": ("load_scenario", "save_scenario"),
+})

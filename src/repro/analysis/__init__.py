@@ -1,17 +1,6 @@
 """Exact statistics over captured benchmark records (reporting path)."""
 
-from repro.analysis.critical_path import (
-    BackendCriticalPath,
-    critical_path,
-    render_critical_path,
-)
-from repro.analysis.percentiles import exact_percentile, percentile_summary
-from repro.analysis.stats import (
-    latency_timeline,
-    relative_decrease,
-    rps_timeline,
-    success_rate,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BackendCriticalPath",
@@ -24,3 +13,12 @@ __all__ = [
     "rps_timeline",
     "success_rate",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.critical_path": (
+        "BackendCriticalPath", "critical_path", "render_critical_path"),
+    "repro.analysis.percentiles": ("exact_percentile", "percentile_summary"),
+    "repro.analysis.stats": (
+        "latency_timeline", "relative_decrease", "rps_timeline",
+        "success_rate"),
+})

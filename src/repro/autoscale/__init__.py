@@ -26,16 +26,7 @@ The elasticity study (capacity modes, flap and settle estimators) is a
 declaration over the bench layer's :mod:`repro.bench.study`.
 """
 
-from repro.autoscale.controller import BackendAutoscaler
-from repro.autoscale.driver import SimAutoscaleSet
-from repro.autoscale.policy import METRIC_NAMES, AutoscalePolicy
-from repro.autoscale.spec import (
-    AUTOSCALE_SPEC_KEYS,
-    describe_policies,
-    parse_autoscale_spec,
-    resolve_autoscale_policies,
-)
-from repro.autoscale.targets import SimBackendTarget
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AUTOSCALE_SPEC_KEYS",
@@ -48,3 +39,13 @@ __all__ = [
     "parse_autoscale_spec",
     "resolve_autoscale_policies",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.autoscale.controller": ("BackendAutoscaler",),
+    "repro.autoscale.driver": ("SimAutoscaleSet",),
+    "repro.autoscale.policy": ("METRIC_NAMES", "AutoscalePolicy"),
+    "repro.autoscale.spec": (
+        "AUTOSCALE_SPEC_KEYS", "describe_policies", "parse_autoscale_spec",
+        "resolve_autoscale_policies"),
+    "repro.autoscale.targets": ("SimBackendTarget",),
+})

@@ -9,40 +9,7 @@ greedy EWMA-latency, locality failover). Every algorithm registers in
 :mod:`repro.balancers.factory`; ``BALANCER_NAMES`` is the one table.
 """
 
-from repro.balancers.base import Balancer, validate_backend_pool
-from repro.balancers.c3 import C3Balancer, C3Config
-from repro.balancers.estimate import LoadCostModel
-from repro.balancers.ewma_latency import EwmaLatencyBalancer
-from repro.balancers.failover import FailoverBalancer
-from repro.balancers.gradient import (
-    GradientConfig,
-    GradientDescentBalancer,
-    project_to_floored_simplex,
-)
-from repro.balancers.knapsack import (
-    KnapsackConfig,
-    KnapsackLbBalancer,
-    greedy_allocation,
-)
-from repro.balancers.l3 import L3Balancer
-from repro.balancers.least_outstanding import LeastOutstandingBalancer
-from repro.balancers.p2c import P2cPeakEwmaBalancer
-from repro.balancers.periodic import PeriodicSplitBalancer
-from repro.balancers.round_robin import RoundRobinBalancer
-from repro.balancers.service_rate import (
-    ServiceRateAwareBalancer,
-    ServiceRateConfig,
-    solve_rate_shares,
-)
-from repro.balancers.static_weights import StaticWeightBalancer
-from repro.balancers.factory import (
-    BALANCER_NAMES,
-    BalancerSpec,
-    balancer_specs,
-    controller_balancer_names,
-    make_balancer,
-    register_balancer,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BALANCER_NAMES",
@@ -74,3 +41,27 @@ __all__ = [
     "solve_rate_shares",
     "validate_backend_pool",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.balancers.base": ("Balancer", "validate_backend_pool"),
+    "repro.balancers.c3": ("C3Balancer", "C3Config"),
+    "repro.balancers.estimate": ("LoadCostModel",),
+    "repro.balancers.ewma_latency": ("EwmaLatencyBalancer",),
+    "repro.balancers.failover": ("FailoverBalancer",),
+    "repro.balancers.gradient": (
+        "GradientConfig", "GradientDescentBalancer",
+        "project_to_floored_simplex"),
+    "repro.balancers.knapsack": (
+        "KnapsackConfig", "KnapsackLbBalancer", "greedy_allocation"),
+    "repro.balancers.l3": ("L3Balancer",),
+    "repro.balancers.least_outstanding": ("LeastOutstandingBalancer",),
+    "repro.balancers.p2c": ("P2cPeakEwmaBalancer",),
+    "repro.balancers.periodic": ("PeriodicSplitBalancer",),
+    "repro.balancers.round_robin": ("RoundRobinBalancer",),
+    "repro.balancers.service_rate": (
+        "ServiceRateAwareBalancer", "ServiceRateConfig", "solve_rate_shares"),
+    "repro.balancers.static_weights": ("StaticWeightBalancer",),
+    "repro.balancers.factory": (
+        "BALANCER_NAMES", "BalancerSpec", "balancer_specs",
+        "controller_balancer_names", "make_balancer", "register_balancer"),
+})

@@ -11,26 +11,18 @@ the paper's set first, then the extensions, then the retrieved-work zoo
 A builder receives the full wiring context (simulator, service,
 backends, metrics source, config knobs) and returns a ready
 :class:`~repro.balancers.base.Balancer`; per-request algorithms simply
-ignore the parts they do not need.
+ignore the parts they do not need. Each builder imports its own
+implementation, so reading the table (the CLI's choices, the
+tournament's enumeration) loads no algorithm and a run loads only the
+one it builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.balancers.c3 import C3Balancer
-from repro.balancers.ewma_latency import EwmaLatencyBalancer
-from repro.balancers.failover import FailoverBalancer
-from repro.balancers.gradient import GradientDescentBalancer
-from repro.balancers.knapsack import KnapsackLbBalancer
-from repro.balancers.l3 import L3Balancer
-from repro.balancers.least_outstanding import LeastOutstandingBalancer
-from repro.balancers.p2c import P2cPeakEwmaBalancer
-from repro.balancers.round_robin import RoundRobinBalancer
-from repro.balancers.service_rate import ServiceRateAwareBalancer
 from repro.core.config import L3Config
 from repro.errors import ConfigError
-from repro.mesh.cluster import split_backend_name
 
 
 @dataclass(frozen=True)
@@ -65,6 +57,8 @@ def register_balancer(name: str, *, summary: str, controller: bool = False):
     "round-robin",
     summary="cycle through backends in fixed order (paper baseline)")
 def _build_round_robin(ctx):
+    from repro.balancers.round_robin import RoundRobinBalancer
+
     return RoundRobinBalancer(ctx.backend_names)
 
 
@@ -72,6 +66,8 @@ def _build_round_robin(ctx):
     "c3", controller=True,
     summary="cubic queue-aware scoring, adapted (paper comparator)")
 def _build_c3(ctx):
+    from repro.balancers.c3 import C3Balancer
+
     return C3Balancer(ctx.sim, ctx.service, ctx.backend_names,
                       ctx.metrics_source,
                       propagation_delay_s=ctx.propagation_delay_s)
@@ -81,6 +77,8 @@ def _build_c3(ctx):
     "l3", controller=True,
     summary="the paper's latency-aware controller (EWMA filter)")
 def _build_l3(ctx):
+    from repro.balancers.l3 import L3Balancer
+
     config = replace(ctx.l3_config or L3Config(), use_peak_ewma=False)
     return L3Balancer(ctx.sim, ctx.service, ctx.backend_names,
                       ctx.metrics_source, config=config,
@@ -91,6 +89,8 @@ def _build_l3(ctx):
     "l3-peak", controller=True,
     summary="L3 with the PeakEWMA latency filter (paper §5.2.2)")
 def _build_l3_peak(ctx):
+    from repro.balancers.l3 import L3Balancer
+
     config = replace(ctx.l3_config or L3Config(), use_peak_ewma=True)
     return L3Balancer(ctx.sim, ctx.service, ctx.backend_names,
                       ctx.metrics_source, config=config,
@@ -101,6 +101,8 @@ def _build_l3_peak(ctx):
     "p2c",
     summary="power-of-two-choices + PeakEWMA cost (Linkerd default)")
 def _build_p2c(ctx):
+    from repro.balancers.p2c import P2cPeakEwmaBalancer
+
     return P2cPeakEwmaBalancer(ctx.backend_names, start_time=ctx.sim.now)
 
 
@@ -108,6 +110,9 @@ def _build_p2c(ctx):
     "failover",
     summary="locality failover on health checks (related work §6)")
 def _build_failover(ctx):
+    from repro.balancers.failover import FailoverBalancer
+    from repro.mesh.cluster import split_backend_name
+
     ordered = sorted(
         ctx.backend_names,
         key=lambda n: (split_backend_name(n)[1] != ctx.local_cluster, n))
@@ -118,6 +123,8 @@ def _build_failover(ctx):
     "least-outstanding",
     summary="fewest in-flight requests wins (classical client-side)")
 def _build_least_outstanding(ctx):
+    from repro.balancers.least_outstanding import LeastOutstandingBalancer
+
     return LeastOutstandingBalancer(ctx.backend_names)
 
 
@@ -125,6 +132,8 @@ def _build_least_outstanding(ctx):
     "ewma",
     summary="greedy lowest-EWMA-latency pick with epsilon exploration")
 def _build_ewma(ctx):
+    from repro.balancers.ewma_latency import EwmaLatencyBalancer
+
     return EwmaLatencyBalancer(ctx.backend_names, start_time=ctx.sim.now)
 
 
@@ -132,6 +141,8 @@ def _build_ewma(ctx):
     "knapsack", controller=True,
     summary="KnapsackLB: greedy knapsack over calibrated latency curves")
 def _build_knapsack(ctx):
+    from repro.balancers.knapsack import KnapsackLbBalancer
+
     return KnapsackLbBalancer(ctx.sim, ctx.service, ctx.backend_names,
                               ctx.metrics_source,
                               propagation_delay_s=ctx.propagation_delay_s)
@@ -141,6 +152,8 @@ def _build_knapsack(ctx):
     "gradient",
     summary="distributed projected-gradient split on observed latency")
 def _build_gradient(ctx):
+    from repro.balancers.gradient import GradientDescentBalancer
+
     return GradientDescentBalancer(ctx.backend_names)
 
 
@@ -148,6 +161,8 @@ def _build_gradient(ctx):
     "service-rate", controller=True,
     summary="workload-dependent service-rate estimation + fixed point")
 def _build_service_rate(ctx):
+    from repro.balancers.service_rate import ServiceRateAwareBalancer
+
     return ServiceRateAwareBalancer(ctx.sim, ctx.service, ctx.backend_names,
                                     ctx.metrics_source,
                                     propagation_delay_s=ctx.propagation_delay_s)

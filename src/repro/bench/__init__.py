@@ -1,13 +1,6 @@
 """The benchmark harness: coordinator, per-figure experiments, reporting."""
 
-from repro.bench.coordinator import (
-    BenchmarkResult,
-    ScenarioBenchConfig,
-    run_hotel_benchmark,
-    run_scenario_benchmark,
-)
-from repro.bench.parallel import Cell, CellFailed, CellOutcome, run_cells
-from repro.bench.results import ComparisonTable, format_table
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BenchmarkResult",
@@ -21,3 +14,11 @@ __all__ = [
     "run_hotel_benchmark",
     "run_scenario_benchmark",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.bench.coordinator": (
+        "BenchmarkResult", "ScenarioBenchConfig", "run_hotel_benchmark",
+        "run_scenario_benchmark"),
+    "repro.bench.parallel": ("Cell", "CellFailed", "CellOutcome", "run_cells"),
+    "repro.bench.results": ("ComparisonTable", "format_table"),
+})

@@ -5,6 +5,10 @@ mesh, warm up (to populate caches and establish EWMA baselines), run the
 scenario for its duration with an open-loop client, then collect every
 request's latency and status and compute exact percentiles and success
 rates.
+
+What every run uses is imported here; what only some runs use (the
+autoscaler, the call-graph applications) is imported by the branch or
+function that runs it (DESIGN.md, "What a process imports").
 """
 
 from __future__ import annotations
@@ -12,10 +16,12 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field
 
+# The paper's algorithm, which the benchmarks run, loads with the
+# coordinator rather than inside the first run; the registry imports
+# every other balancer when one is built.
+import repro.balancers.l3  # noqa: F401
 from repro.analysis.percentiles import Percentiles
 from repro.analysis.stats import success_rate as _success_rate
-from repro.autoscale.driver import SimAutoscaleSet
-from repro.autoscale.spec import resolve_autoscale_policies
 from repro.balancers.factory import make_balancer
 from repro.core.config import L3Config
 from repro.errors import ConfigError
@@ -27,7 +33,6 @@ from repro.sim.rng import RngRegistry
 from repro.telemetry.query import PromMetricsSource
 from repro.telemetry.scraper import Scraper
 from repro.telemetry.timeseries import TimeSeriesStore
-from repro.workloads.hotel import build_hotel_application
 from repro.workloads.loadgen import OpenLoopLoadGenerator
 from repro.workloads.scenarios import Scenario, build_scenario
 
@@ -328,6 +333,9 @@ def run_scenario_benchmark(scenario: str | Scenario, algorithm: str,
         autoscale = scenario.autoscale
     autoscale_set = None
     if autoscale is not None:
+        from repro.autoscale.driver import SimAutoscaleSet
+        from repro.autoscale.spec import resolve_autoscale_policies
+
         policies = resolve_autoscale_policies(
             autoscale, scenario.clusters())
         autoscale_set = SimAutoscaleSet(
@@ -422,6 +430,8 @@ def run_hotel_benchmark(algorithm: str, rps: float = 200.0,
     minutes against the cluster-local frontend; every internal hop is
     balanced by ``algorithm``.
     """
+    from repro.workloads.hotel import build_hotel_application
+
     return run_callgraph_benchmark(
         build_hotel_application, "hotel-reservation", algorithm,
         rps=rps, duration_s=duration_s, seed=seed, l3_config=l3_config,

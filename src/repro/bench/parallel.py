@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -152,6 +150,10 @@ def _run_cells_in_pool(cells, jobs: int) -> dict[str, CellOutcome]:
 
 def _pool_pass(cells, jobs: int, outcomes: dict) -> bool:
     """One executor lifetime; returns True if the pool broke (crash)."""
+    # Only a multi-worker sweep pays for the executor machinery.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     broke = False
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [(pool.submit(_run_cell, cell), cell) for cell in cells]

@@ -14,11 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+# Name tables only: the parser's choices come from modules that import
+# no simulator, mesh or socket code. What a command runs, it imports.
 from repro.balancers.factory import BALANCER_NAMES
-from repro.bench.coordinator import (
-    run_hotel_benchmark,
-    run_scenario_benchmark,
-)
 from repro.live.harness import LIVE_ALGORITHMS
 from repro.tournament.grid import TOURNAMENT_SCENARIO_NAMES
 from repro.tracing import TRACE_FORMATS
@@ -346,6 +344,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "run":
+        from repro.bench.coordinator import run_scenario_benchmark
+
         scenario = args.scenario
         if args.scenario_file is not None:
             from repro.workloads.traceio import load_scenario
@@ -435,6 +435,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "hotel":
+        from repro.bench.coordinator import run_hotel_benchmark
+
         result = run_hotel_benchmark(
             args.algorithm, rps=args.rps, duration_s=args.duration,
             seed=args.seed)

@@ -14,15 +14,7 @@ proof-of-concept details (§4):
   source to a weight sink (the simulated TrafficSplit).
 """
 
-from repro.core.config import L3Config
-from repro.core.controller import L3Controller, MetricSample
-from repro.core.cost import CostConfig, apply_cost_bias
-from repro.core.ewma import Ewma, PeakEwma, half_life_to_beta
-from repro.core.introspection import ControllerIntrospection
-from repro.core.leader import ControllerReplica, LeaseLock
-from repro.core.rate_control import apply_rate_control, relative_change
-from repro.core.state import BackendMetricState
-from repro.core.weighting import BackendSnapshot, WeightingConfig, compute_weights
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BackendMetricState",
@@ -43,3 +35,16 @@ __all__ = [
     "half_life_to_beta",
     "relative_change",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.config": ("L3Config",),
+    "repro.core.controller": ("L3Controller", "MetricSample"),
+    "repro.core.cost": ("CostConfig", "apply_cost_bias"),
+    "repro.core.ewma": ("Ewma", "PeakEwma", "half_life_to_beta"),
+    "repro.core.introspection": ("ControllerIntrospection",),
+    "repro.core.leader": ("ControllerReplica", "LeaseLock"),
+    "repro.core.rate_control": ("apply_rate_control", "relative_change"),
+    "repro.core.state": ("BackendMetricState",),
+    "repro.core.weighting": (
+        "BackendSnapshot", "WeightingConfig", "compute_weights"),
+})

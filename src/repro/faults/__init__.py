@@ -26,26 +26,7 @@ Blackhole faults need a client-side deadline to be survivable — see
 and :class:`~repro.mesh.proxy.ClientProxy`.
 """
 
-from repro.errors import FaultSpecError
-from repro.faults.base import Fault, FaultInjector
-from repro.faults.faults import (
-    ClusterOutage,
-    ControllerCrash,
-    ControllerPause,
-    LinkDegradation,
-    LinkPartition,
-    ReplicaCrash,
-    ReplicaRestart,
-    ScrapeOutage,
-)
-from repro.faults.spec import (
-    FAULT_KINDS,
-    fault_from_dict,
-    fault_to_dict,
-    parse_fault_entry,
-    parse_fault_spec,
-    validate_fault_spec,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Fault",
@@ -66,3 +47,15 @@ __all__ = [
     "parse_fault_spec",
     "validate_fault_spec",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.errors": ("FaultSpecError",),
+    "repro.faults.base": ("Fault", "FaultInjector"),
+    "repro.faults.faults": (
+        "ClusterOutage", "ControllerCrash", "ControllerPause",
+        "LinkDegradation", "LinkPartition", "ReplicaCrash", "ReplicaRestart",
+        "ScrapeOutage"),
+    "repro.faults.spec": (
+        "FAULT_KINDS", "fault_from_dict", "fault_to_dict",
+        "parse_fault_entry", "parse_fault_spec", "validate_fault_spec"),
+})

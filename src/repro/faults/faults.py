@@ -12,10 +12,12 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.faults.base import Fault, FaultInjector
-from repro.mesh.replica import DOWN_MODES
 
 
 def _check_mode(mode: str) -> None:
+    # Imported here so that naming or parsing a fault loads no mesh.
+    from repro.mesh.replica import DOWN_MODES
+
     if mode not in DOWN_MODES:
         raise ConfigError(f"down mode must be one of {DOWN_MODES}: {mode!r}")
 

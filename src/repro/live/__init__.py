@@ -20,22 +20,7 @@ break, controller replicas crash out of the lease election). DESIGN.md
 §5f states the live failure model and the failover contract.
 """
 
-from repro.live.chaos import LiveFaultInjector, LiveLinkShaper
-from repro.live.clock import FakeClock, WallClock
-from repro.live.exposition import parse_exposition, render_exposition
-from repro.live.harness import (
-    LIVE_ALGORITHMS,
-    LiveConfig,
-    LiveHarness,
-    live_c3_config,
-    live_l3_config,
-    run_live,
-    weight_points,
-)
-from repro.live.loadgen import LiveLoadGenerator
-from repro.live.proxy import HttpTransport, LiveProxy
-from repro.live.scrape import HttpScraper, fetch_metrics
-from repro.live.server import MetricsServer, ReplicaServer, start_http_server
+from repro._lazy import lazy_exports
 
 __all__ = [
     "LIVE_ALGORITHMS",
@@ -60,3 +45,18 @@ __all__ = [
     "start_http_server",
     "weight_points",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.live.chaos": ("LiveFaultInjector", "LiveLinkShaper"),
+    "repro.live.clock": ("FakeClock", "WallClock"),
+    "repro.live.exposition": ("parse_exposition", "render_exposition"),
+    "repro.live.harness": (
+        "LIVE_ALGORITHMS", "LiveConfig", "live_c3_config", "live_l3_config",
+        "run_live", "weight_points"),
+    "repro.live.loadgen": ("LiveLoadGenerator",),
+    "repro.live.proxy": ("HttpTransport", "LiveProxy"),
+    "repro.live.runtime": ("LiveHarness",),
+    "repro.live.scrape": ("HttpScraper", "fetch_metrics"),
+    "repro.live.server": (
+        "MetricsServer", "ReplicaServer", "start_http_server"),
+})

@@ -6,14 +6,7 @@ metrics, WAN links with configurable (and time-varying) delay, and SMI
 TrafficSplit objects steering traffic between per-cluster backends.
 """
 
-from repro.mesh.cluster import Cluster
-from repro.mesh.mesh import ServiceMesh
-from repro.mesh.network import NetworkModel, WanLink
-from repro.mesh.proxy import ClientProxy
-from repro.mesh.replica import Replica
-from repro.mesh.request import RequestRecord
-from repro.mesh.service import Backend, ServiceDeployment
-from repro.mesh.traffic_split import TrafficSplit
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Backend",
@@ -27,3 +20,14 @@ __all__ = [
     "TrafficSplit",
     "WanLink",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.mesh.cluster": ("Cluster",),
+    "repro.mesh.mesh": ("ServiceMesh",),
+    "repro.mesh.network": ("NetworkModel", "WanLink"),
+    "repro.mesh.proxy": ("ClientProxy",),
+    "repro.mesh.replica": ("Replica",),
+    "repro.mesh.request": ("RequestRecord",),
+    "repro.mesh.service": ("Backend", "ServiceDeployment"),
+    "repro.mesh.traffic_split": ("TrafficSplit",),
+})

@@ -8,9 +8,7 @@ controllers, autoscalers) are ``sim.every(interval_s, tick)``. The
 kernel is the substrate on which the whole multi-cluster mesh model runs.
 """
 
-from repro.sim.engine import Simulator
-from repro.sim.resources import Server
-from repro.sim.rng import RngRegistry, lognormal_params_from_percentiles
+from repro._lazy import lazy_exports
 
 __all__ = [
     "RngRegistry",
@@ -18,3 +16,9 @@ __all__ = [
     "Simulator",
     "lognormal_params_from_percentiles",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.engine": ("Simulator",),
+    "repro.sim.resources": ("Server",),
+    "repro.sim.rng": ("RngRegistry", "lognormal_params_from_percentiles"),
+})

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import multiprocessing
 import random
 from dataclasses import replace
 from heapq import heapreplace
@@ -623,6 +622,8 @@ def run_sharded_benchmark(scenario, algorithm: str = "l3",
     if jobs == 1:
         workers = [_ShardWorker(payloads[0])]
     else:
+        import multiprocessing
+
         ctx = multiprocessing.get_context()
         for s in range(jobs):
             parent_conn, child_conn = ctx.Pipe()

@@ -11,11 +11,7 @@ discusses (per-second averages extrapolated from a 10 s window holding at
 least two scrape samples).
 """
 
-from repro.telemetry.histogram import DEFAULT_BUCKET_BOUNDS_S, LatencyHistogram
-from repro.telemetry.metrics import BackendTelemetry, Counter, Gauge
-from repro.telemetry.query import PromMetricsSource
-from repro.telemetry.scraper import Scraper
-from repro.telemetry.timeseries import SampleSeries, TimeSeriesStore
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BackendTelemetry",
@@ -28,3 +24,12 @@ __all__ = [
     "Scraper",
     "TimeSeriesStore",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telemetry.histogram": (
+        "DEFAULT_BUCKET_BOUNDS_S", "LatencyHistogram"),
+    "repro.telemetry.metrics": ("BackendTelemetry", "Counter", "Gauge"),
+    "repro.telemetry.query": ("PromMetricsSource",),
+    "repro.telemetry.scraper": ("Scraper",),
+    "repro.telemetry.timeseries": ("SampleSeries", "TimeSeriesStore"),
+})

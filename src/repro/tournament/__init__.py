@@ -11,24 +11,7 @@ CLI front end; ``repro tournament --jobs 0 --output BENCH_tournament.json``
 regenerates the committed baseline.
 """
 
-from repro.tournament.grid import (
-    TOURNAMENT_SCENARIO_NAMES,
-    TournamentScenario,
-    select_scenarios,
-    tournament_scenarios,
-)
-from repro.tournament.leaderboard import (
-    LEADERBOARD_METRICS,
-    build_leaderboard,
-    render_grid,
-    render_leaderboard,
-)
-from repro.tournament.runner import (
-    TournamentResult,
-    check_contract,
-    run_tournament,
-    tournament_json,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "LEADERBOARD_METRICS",
@@ -44,3 +27,15 @@ __all__ = [
     "tournament_json",
     "tournament_scenarios",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.tournament.grid": (
+        "TOURNAMENT_SCENARIO_NAMES", "TournamentScenario", "select_scenarios",
+        "tournament_scenarios"),
+    "repro.tournament.leaderboard": (
+        "LEADERBOARD_METRICS", "build_leaderboard", "render_grid",
+        "render_leaderboard"),
+    "repro.tournament.runner": (
+        "TournamentResult", "check_contract", "run_tournament",
+        "tournament_json"),
+})

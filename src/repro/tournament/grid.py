@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.fault_matrix import FAULT_CLUSTER
 from repro.errors import ConfigError
 from repro.faults import ClusterOutage, LinkDegradation
 
@@ -65,6 +64,8 @@ class TournamentScenario:
 
 def tournament_scenarios(duration_s: float) -> tuple[TournamentScenario, ...]:
     """The grid columns, fault windows scaled to ``duration_s``."""
+    from repro.bench.fault_matrix import FAULT_CLUSTER
+
     if duration_s <= 0:
         raise ConfigError(f"duration_s must be positive: {duration_s}")
     start = duration_s * FAULT_START_FRACTION

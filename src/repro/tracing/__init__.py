@@ -20,24 +20,7 @@ Quickstart::
     export_trace(tracer.recorder, "trace.json", fmt="otlp")
 """
 
-from repro.tracing.audit import DecisionAuditLog, ReconcileDecision
-from repro.tracing.export import (
-    TRACE_FORMATS,
-    export_trace,
-    load_otlp,
-    scenario_from_otlp,
-    to_chrome,
-    to_otlp,
-    workload_spans,
-)
-from repro.tracing.model import SPAN_KINDS, TraceSpan
-from repro.tracing.recorder import (
-    MeshTracer,
-    SpanRecorder,
-    TraceContext,
-    TracingConfig,
-    sample_decision,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DecisionAuditLog",
@@ -57,3 +40,14 @@ __all__ = [
     "to_otlp",
     "workload_spans",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.tracing.audit": ("DecisionAuditLog", "ReconcileDecision"),
+    "repro.tracing.export": (
+        "TRACE_FORMATS", "export_trace", "load_otlp", "scenario_from_otlp",
+        "to_chrome", "to_otlp", "workload_spans"),
+    "repro.tracing.model": ("SPAN_KINDS", "TraceSpan"),
+    "repro.tracing.recorder": (
+        "MeshTracer", "SpanRecorder", "TraceContext", "TracingConfig",
+        "sample_decision"),
+})

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import json
 import pathlib
+import typing
 
 from repro.errors import ConfigError
 from repro.tracing import model
-from repro.workloads.spans import NETWORK as WL_NETWORK
-from repro.workloads.spans import SERVER as WL_SERVER
-from repro.workloads.spans import Span as WorkloadSpan
+
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.workloads.spans import Span as WorkloadSpan
 
 TRACE_FORMATS = ("otlp", "chrome")
 
@@ -191,6 +192,9 @@ def workload_spans(data: dict, rebase: bool = True) -> list[WorkloadSpan]:
             (benchmark exports carry the warm-up offset otherwise).
     """
     from repro.mesh.cluster import split_backend_name
+    from repro.workloads.spans import NETWORK as WL_NETWORK
+    from repro.workloads.spans import SERVER as WL_SERVER
+    from repro.workloads.spans import Span as WorkloadSpan
 
     decoded = []
     for span in _iter_otlp_spans(data):

@@ -1,22 +1,7 @@
 """Workloads: time-varying profiles, TIER-like scenarios, load generators,
 and the DeathStarBench hotel-reservation call graph."""
 
-from repro.workloads.profiles import (
-    BackendProfile,
-    PiecewiseSeries,
-    constant_series,
-)
-from repro.workloads.scenarios import (
-    SCENARIO_NAMES,
-    Scenario,
-    build_scenario,
-)
-from repro.workloads.loadgen import OpenLoopLoadGenerator
-from repro.workloads.hotel import build_hotel_application
-from repro.workloads.social import build_social_application
-from repro.workloads.callgraph import CallGraphApp, EndpointSpec, ServiceSpec
-from repro.workloads.spans import Span, scenario_from_spans
-from repro.workloads.traceio import load_scenario, save_scenario
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BackendProfile",
@@ -36,3 +21,17 @@ __all__ = [
     "save_scenario",
     "scenario_from_spans",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.profiles": (
+        "BackendProfile", "PiecewiseSeries", "constant_series"),
+    "repro.workloads.scenarios": (
+        "SCENARIO_NAMES", "Scenario", "build_scenario"),
+    "repro.workloads.loadgen": ("OpenLoopLoadGenerator",),
+    "repro.workloads.hotel": ("build_hotel_application",),
+    "repro.workloads.social": ("build_social_application",),
+    "repro.workloads.callgraph": (
+        "CallGraphApp", "EndpointSpec", "ServiceSpec"),
+    "repro.workloads.spans": ("Span", "scenario_from_spans"),
+    "repro.workloads.traceio": ("load_scenario", "save_scenario"),
+})

@@ -21,6 +21,7 @@ from repro.balancers.factory import (
     make_balancer,
     register_balancer,
 )
+from repro.bench.coordinator import ScenarioBenchConfig, run_scenario_benchmark
 from repro.errors import ConfigError
 
 BACKENDS = ["api/cluster-1", "api/cluster-2"]
@@ -107,3 +108,14 @@ class TestRegistry:
             "failover", sim, "api", BACKENDS, FakeSource(),
             local_cluster="cluster-2")
         assert balancer._order[0] == "api/cluster-2"
+
+
+@pytest.mark.parametrize("name", BALANCER_NAMES)
+def test_every_registered_name_runs_a_small_scenario(name):
+    """Each builder imports its own class when called; a run through the
+    coordinator proves every one of those imports, and the wiring, works."""
+    result = run_scenario_benchmark(
+        "scenario-1", name, duration_s=5.0, seed=1,
+        env=ScenarioBenchConfig(warmup_s=5.0, drain_s=2.0))
+    assert result.algorithm == name
+    assert result.records and result.success_rate > 0.0

@@ -28,7 +28,7 @@ from repro.bench.coordinator import (
     run_scenario_benchmark,
     run_social_benchmark,
 )
-from repro.bench.digest import digest_result, golden_digest
+from repro.bench.digest import digest_result, first_divergence, golden_digest
 from repro.bench.parallel import Cell, run_cells
 from repro.faults.faults import (
     ClusterOutage,
@@ -41,6 +41,7 @@ from repro.tracing import MeshTracer, TracingConfig
 from repro.tracing.export import to_otlp
 from repro.workloads.fleet import FleetSpec, build_fleet_scenario
 from repro.workloads.hotel import build_hotel_application
+from tests.bench._pins import flip_report
 
 # SHA-256 of the fixed-seed reference run (scenario-1 / l3 / 30 s /
 # seed 1, traces on). Recompute ONLY for an intentional behavior change:
@@ -51,8 +52,14 @@ GOLDEN_DIGEST = (
 )
 
 
+def _golden_run():
+    """The run ``golden_digest`` fingerprints, untraced: tracing draws no
+    random number, so the records and weights are the same."""
+    return run_scenario_benchmark("scenario-1", "l3", duration_s=30.0, seed=1)
+
+
 def test_fixed_seed_run_matches_golden_digest():
-    assert golden_digest() == GOLDEN_DIGEST
+    assert golden_digest() == GOLDEN_DIGEST, flip_report(_golden_run)
 
 
 def test_parallel_sweep_is_byte_identical_to_serial():
@@ -69,8 +76,9 @@ def test_parallel_sweep_is_byte_identical_to_serial():
 
     assert list(serial) == list(parallel)
     for cell_id in serial:
-        assert (digest_result(serial[cell_id].unwrap())
-                == digest_result(parallel[cell_id].unwrap())), cell_id
+        inline, pooled = serial[cell_id].unwrap(), parallel[cell_id].unwrap()
+        assert digest_result(inline) == digest_result(pooled), (
+            f"{cell_id}: {first_divergence(inline, pooled)}")
 
 
 # --------------------------------------------------------------------- #
@@ -241,18 +249,23 @@ def test_pinned_digest(cell):
     result = run()
     assert result.records, "a digest of an empty run proves nothing"
     assert digest_result(
-        result, trace_blob=repr(result.fault_log).encode()) == pinned
+        result, trace_blob=repr(result.fault_log).encode()) == pinned, (
+        flip_report(run, result))
 
 
-def traced_hotel_digest() -> str:
+def traced_hotel_run():
     """hotel / l3 / seed 7, 40 RPS, 5 s after a 5 s warm-up, traces on."""
     tracer = MeshTracer(TracingConfig(sample_rate=1.0))
-    result = run_callgraph_benchmark(
+    return run_callgraph_benchmark(
         build_hotel_application, "hotel-reservation", "l3", rps=40.0,
         duration_s=5.0, seed=7, env=_CALLGRAPH_ENV, tracer=tracer)
+
+
+def traced_digest(result) -> str:
+    """The digest of a traced run: its records plus its OTLP export."""
     assert result.records
     return digest_result(result, trace_blob=json.dumps(
-        to_otlp(tracer.recorder), sort_keys=True,
+        to_otlp(result.tracer.recorder), sort_keys=True,
         separators=(",", ":")).encode("utf-8"))
 
 
@@ -262,4 +275,6 @@ TRACED_HOTEL_DIGEST = (
 
 
 def test_pinned_traced_call_graph_digest():
-    assert traced_hotel_digest() == TRACED_HOTEL_DIGEST
+    result = traced_hotel_run()
+    assert traced_digest(result) == TRACED_HOTEL_DIGEST, (
+        flip_report(traced_hotel_run, result))

@@ -13,8 +13,6 @@ gate (the ``[fleet]`` extra) the engine sits behind.
 from __future__ import annotations
 
 import dataclasses
-import pathlib
-import subprocess
 import sys
 
 import pytest
@@ -26,6 +24,7 @@ from repro.sim.shard import SHARD_ALGORITHMS, run_sharded_benchmark
 from repro.sim.vectorpath import HAVE_NUMPY, require_numpy
 from repro.workloads.fleet import FleetSpec, build_fleet_scenario
 from repro.workloads.scenarios import build_scenario
+from tests._imports import modules_after
 
 requires_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="numpy not installed ([fleet] extra)")
@@ -157,10 +156,8 @@ class TestNumpyGate:
             run_sharded_benchmark(scenario, "l3", duration_s=10.0)
 
     def test_per_event_imports_leave_numpy_unloaded(self):
-        src = pathlib.Path(__file__).resolve().parents[2] / "src"
-        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
-                "import repro.bench.coordinator, repro.sim.shard, "
-                "repro.live; sys.exit('numpy' in sys.modules)")
-        done = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
+        # One case of tests/test_import_graph.py's guard, which checks
+        # these entry modules for every optional subsystem.
+        loaded = modules_after(
+            "import repro.bench.coordinator, repro.sim.shard, repro.live")
+        assert "numpy" not in loaded
