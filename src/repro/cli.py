@@ -231,6 +231,7 @@ def _write_live_report(result, harness, path: str) -> None:
         "leaked_tasks": harness.leaked_tasks,
         "connections_opened": harness.connections_opened,
         "connection_reuse_ratio": harness.connection_reuse_ratio,
+        "send_lag_ms": harness.send_lag_ms,
         "fault_log": [[when, description]
                       for when, description in harness.fault_log],
         "chaos_errors": harness.chaos_errors,

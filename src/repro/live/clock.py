@@ -11,6 +11,11 @@ either substrate.
 :class:`WallClock` stands in for the simulator where the control plane
 takes one: it has its ``now`` and its periodic primitive, ``every``.
 
+Every live run waits on :func:`precise_event_loop`: CPython's epoll
+selector rounds each timed wait *up* to a whole millisecond, which on a
+1 ms service would make timer rounding part of the latency the testbed
+measures.
+
 Tests that must not sleep use a plain ``lambda: t`` (or
 :class:`FakeClock`) wherever a clock is expected.
 """
@@ -19,9 +24,53 @@ from __future__ import annotations
 
 import asyncio
 import math
+import select
+import selectors
 import time
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, MeshError
+
+# select()'s FD_SETSIZE: the highest descriptor it can wait on, plus one.
+_SELECT_FD_LIMIT = 1024
+
+
+class PreciseEpollSelector(selectors.EpollSelector):
+    """An epoll selector whose timed waits keep µs precision.
+
+    ``epoll_wait`` takes whole milliseconds, so the stock selector
+    rounds a 0.2 ms timer up to 1 ms. A positive, finite wait here
+    blocks in ``select()`` (µs resolution) on the epoll descriptor
+    itself — readable exactly when some registered socket is ready —
+    and only then harvests the events with a non-blocking poll. ``None``
+    (wait forever) and ``0`` (poll) pass straight through.
+
+    ``select()`` only takes descriptors below 1024; this one is made
+    before the run opens any socket, and construction refuses one that
+    is not.
+    """
+
+    def __init__(self):
+        super().__init__()
+        if self.fileno() >= _SELECT_FD_LIMIT:
+            fd = self.fileno()
+            self.close()
+            raise MeshError(
+                f"epoll descriptor {fd} is past select()'s limit of "
+                f"{_SELECT_FD_LIMIT}; create the live loop before "
+                f"opening sockets")
+
+    def select(self, timeout=None):
+        if timeout is None or not 0 < timeout < math.inf:
+            return super().select(timeout)
+        if not select.select((self.fileno(),), (), (), timeout)[0]:
+            return []
+        return super().select(0)
+
+
+def precise_event_loop() -> asyncio.AbstractEventLoop:
+    """A new event loop on :class:`PreciseEpollSelector` — the live
+    runs' loop (``asyncio.Runner(loop_factory=precise_event_loop)``)."""
+    return asyncio.SelectorEventLoop(PreciseEpollSelector())
 
 
 class WallPeriodic:

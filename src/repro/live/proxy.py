@@ -134,13 +134,11 @@ class LiveProxy(ProxyPolicy):
         self.balancer.on_request_sent(backend_name, start)
         success = False
         try:
-            if self.request_timeout_s is None:
+            # The deadline cancels this task in place (the socket closes
+            # in HttpClient.get's finally); no task wraps the attempt.
+            async with asyncio.timeout(self.request_timeout_s):
                 success = await self._send(host, port, backend_name)
-            else:
-                success = await asyncio.wait_for(
-                    self._send(host, port, backend_name),
-                    self.request_timeout_s)
-        except (asyncio.TimeoutError, TimeoutError):
+        except TimeoutError:
             self.timeouts += 1
         except (OSError, MeshError, asyncio.IncompleteReadError):
             pass

@@ -29,6 +29,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field, replace
 
+from repro.analysis.percentiles import Percentiles
 from repro.balancers.base import Balancer
 from repro.balancers.c3 import C3Balancer, C3Controller
 from repro.balancers.l3 import L3Balancer
@@ -41,7 +42,7 @@ from repro.errors import FaultSpecError
 from repro.faults.base import Fault
 from repro.faults.spec import parse_fault_spec, validate_fault_spec
 from repro.live.chaos import LiveFaultInjector, LiveLinkShaper
-from repro.live.clock import WallClock
+from repro.live.clock import WallClock, precise_event_loop
 from repro.live.exposition import render_exposition
 from repro.live.harness import LiveConfig, live_c3_config, live_l3_config
 from repro.live.loadgen import LiveLoadGenerator
@@ -201,8 +202,10 @@ class LiveHarness:
     # -------------------------------------------------------------- run #
 
     def run(self) -> BenchmarkResult:
-        """Synchronous entry point: boot, run, tear down, report."""
-        return asyncio.run(self.run_async())
+        """Synchronous entry point: boot, run, tear down, report — on a
+        fresh :func:`~repro.live.clock.precise_event_loop`."""
+        with asyncio.Runner(loop_factory=precise_event_loop) as runner:
+            return runner.run(self.run_async())
 
     async def run_async(self) -> BenchmarkResult:
         """Boot, load, tear down; re-raises a control tick's exception.
@@ -362,6 +365,18 @@ class LiveHarness:
         """Share of HTTP requests that rode an already-open connection."""
         sent = sum(c.requests_sent for c in self.http_clients())
         return 1.0 - self.connections_opened / sent if sent else 0.0
+
+    @property
+    def send_lag_ms(self) -> dict[str, float]:
+        """How late the load generator sent, in ms: ``p50``/``p99`` of
+        ``start_s - intended_start_s`` over the run's records (empty
+        when none completed)."""
+        if not self.records:
+            return {}
+        lag = Percentiles(r.start_s - r.intended_start_s
+                          for r in self.records)
+        return {key: 1000.0 * value
+                for key, value in lag.summary((0.50, 0.99)).items()}
 
     @property
     def fault_log(self) -> list[tuple[float, str]]:

@@ -43,8 +43,8 @@ async def fetch_metrics(host: str, port: int, timeout_s: float = 2.0,
     if own:
         client = httpwire.HttpClient()
     try:
-        status, body = await asyncio.wait_for(
-            client.get(host, port, "/metrics"), timeout_s)
+        async with asyncio.timeout(timeout_s):
+            status, body = await client.get(host, port, "/metrics")
     finally:
         if own:
             await client.aclose()
@@ -102,9 +102,8 @@ class HttpScraper:
         try:
             samples = _group_proxy_rows(
                 parse_exposition(await self._fetch(host, port)))
-        except (OSError, MeshError, TelemetryError, asyncio.TimeoutError,
-                TimeoutError, asyncio.IncompleteReadError,
-                UnicodeDecodeError):
+        except (OSError, MeshError, TelemetryError, TimeoutError,
+                asyncio.IncompleteReadError, UnicodeDecodeError):
             self.failed_scrapes += 1
             return False
         key = (host, port)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.sim.rng import NV_MAGICCONST, Z_P99
+from repro.normal import NV_MAGICCONST, Z_P99
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,9 @@ import hashlib
 import math
 import random
 
-# Standard-normal quantiles used to parameterise log-normal service times
-# from published medians and tail percentiles.
-Z_P90 = 1.2815515655446004
-Z_P99 = 2.3263478740408408
-Z_P999 = 3.090232306167813
-
-# Kinderman–Monahan ratio-of-uniforms constant, the exact expression
-# CPython's ``random.normalvariate`` uses. Hot sampling sites inline the
-# stdlib rejection loop (two Python frames per draw otherwise); the bit
-# pattern must match ``random.NV_MAGICCONST`` so inlined draws consume the
-# stream identically — asserted in ``tests/sim/test_rng.py``.
-NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
+# The normal constants live in a leaf module; re-exported here for the
+# samplers that already draw through this one.
+from repro.normal import NV_MAGICCONST, Z_P90, Z_P99, Z_P999  # noqa: F401
 
 
 class RngRegistry:

@@ -1,4 +1,5 @@
-"""WallClock.every: Simulator.every's contract on a real event loop.
+"""WallClock.every: Simulator.every's contract on a real event loop;
+the live runs' µs-precise selector and loop.
 
 Short real intervals (10-30 ms); the assertions allow for the host
 being slow, never for it being early.
@@ -6,12 +7,17 @@ being slow, never for it being early.
 
 import asyncio
 import math
+import select
+import selectors
+import socket
+import statistics
 import time
 
 import pytest
 
-from repro.errors import ConfigError
-from repro.live.clock import WallClock
+from repro.errors import ConfigError, MeshError
+from repro.live import clock as clock_module
+from repro.live.clock import PreciseEpollSelector, WallClock, precise_event_loop
 
 INTERVAL_S = 0.01
 
@@ -153,3 +159,66 @@ class TestEvery:
         clock = WallClock()
         first = clock.now
         assert 0.0 <= first <= clock()
+
+
+class TestPreciseEpollSelector:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Records the ``select.select`` timeouts (reporting nothing
+        ready) and the stock epoll polls the selector makes."""
+        calls = {"select": [], "epoll": []}
+
+        def fake_select(rlist, wlist, xlist, timeout):
+            calls["select"].append(timeout)
+            return [], [], []
+
+        def fake_epoll(self, timeout=None):
+            calls["epoll"].append(timeout)
+            return []
+
+        monkeypatch.setattr(select, "select", fake_select)
+        monkeypatch.setattr(selectors.EpollSelector, "select", fake_epoll)
+        return calls
+
+    def test_sub_ms_timeout_reaches_select_unrounded(self, calls):
+        with PreciseEpollSelector() as selector:
+            selector.select(0.0002)
+        assert calls["select"] == [0.0002]
+
+    def test_timeout_returns_nothing_without_polling_epoll(self, calls):
+        with PreciseEpollSelector() as selector:
+            assert selector.select(0.0002) == []
+        assert calls["epoll"] == []
+
+    @pytest.mark.parametrize("timeout", [None, 0, -1.0])
+    def test_forever_and_poll_pass_straight_through(self, calls, timeout):
+        with PreciseEpollSelector() as selector:
+            assert selector.select(timeout) == []
+        assert calls == {"select": [], "epoll": [timeout]}
+
+    def test_harvests_a_ready_socket(self):
+        left, right = socket.socketpair()
+        with left, right, PreciseEpollSelector() as selector:
+            key = selector.register(left, selectors.EVENT_READ)
+            assert selector.select(0.0002) == []
+            right.send(b"x")
+            assert selector.select(0.5) == [(key, selectors.EVENT_READ)]
+
+    def test_descriptor_past_the_select_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(clock_module, "_SELECT_FD_LIMIT", 0)
+        with pytest.raises(MeshError, match="select"):
+            PreciseEpollSelector()
+
+    def test_sub_ms_sleeps_wake_on_time(self):
+        # The stock epoll loop rounds every wait up to a whole
+        # millisecond: 0.2 ms sleeps wake ~1 ms late at the median.
+        async def probe():
+            lateness = []
+            for _ in range(200):
+                start = time.perf_counter()
+                await asyncio.sleep(0.0002)
+                lateness.append(time.perf_counter() - start - 0.0002)
+            return statistics.median(lateness)
+
+        with asyncio.Runner(loop_factory=precise_event_loop) as runner:
+            assert runner.run(probe()) < 0.0005

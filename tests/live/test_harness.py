@@ -8,6 +8,7 @@ uniformly. Runs use a fast control cadence so a few wall-clock seconds
 cover many reconcile cycles.
 """
 
+import asyncio
 import socket
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro.bench.coordinator import BenchmarkResult
 from repro.core.controller import L3Controller
 from repro.errors import ConfigError, MeshError
+from repro.live.clock import PreciseEpollSelector
 from repro.live.harness import (
     LiveConfig,
     LiveHarness,
@@ -23,6 +25,7 @@ from repro.live.harness import (
     weight_points,
 )
 from repro.live.server import MetricsServer
+from repro.mesh.request import RequestRecord
 from repro.workloads.profiles import BackendProfile, constant_series
 from repro.workloads.scenarios import Scenario
 
@@ -204,6 +207,28 @@ class TestLiveFailures:
         assert len(harness.ports) == 3  # the replicas did bind
         assert all(port_is_free(port) for port in harness.ports)
         assert harness.clean_shutdown, harness.leaked_tasks
+
+
+class TestLiveRunLoop:
+    def test_run_waits_on_the_precise_loop(self, monkeypatch):
+        async def selector_class(self):
+            return type(asyncio.get_running_loop()._selector)
+
+        monkeypatch.setattr(LiveHarness, "run_async", selector_class)
+        assert LiveHarness(degraded_scenario()).run() is PreciseEpollSelector
+
+    def test_send_lag_is_start_minus_intended_start_in_ms(self):
+        harness = LiveHarness(degraded_scenario())
+        assert harness.send_lag_ms == {}
+        harness.records = [
+            RequestRecord(i, "api", "cluster-1", "api/cluster-1",
+                          intended_start_s=1.0, start_s=1.0 + lag,
+                          end_s=2.0, success=True)
+            for i, lag in enumerate((0.001, 0.002, 0.003))]
+        lag = harness.send_lag_ms
+        assert set(lag) == {"p50", "p99"}
+        assert lag["p50"] == pytest.approx(2.0)
+        assert lag["p99"] == pytest.approx(2.98)
 
 
 class TestLiveConfig:

@@ -31,7 +31,7 @@ class FakeTransport:
 
     Outcomes: True/False (the attempt's success), or an exception
     instance to raise — ``asyncio.TimeoutError()`` stands in for an
-    expired ``wait_for`` deadline, so the timeout path needs no timer.
+    expired deadline, so the timeout path needs no timer.
     """
 
     def __init__(self, outcomes):
@@ -161,6 +161,46 @@ class TestTimeouts:
         assert record.success
         assert record.attempts == 2
         assert proxy.timeouts == 1
+
+    def test_deadline_runs_the_attempt_in_the_callers_task(self):
+        # asyncio.wait_for on 3.11 wraps each attempt in a task of its
+        # own; 3.12's wait_for no longer does, so there this test would
+        # pass with either.
+        seen = []
+
+        async def transport(host, port):
+            seen.append(asyncio.all_tasks())
+            return True
+
+        async def scenario():
+            proxy, _ = make_proxy([], request_timeout_s=5.0)
+            proxy.transport = transport
+            record = await proxy.dispatch()
+            return record, asyncio.current_task()
+
+        record, caller = asyncio.run(scenario())
+        assert record.success
+        assert seen == [{caller}]
+
+    def test_external_cancel_propagates_and_is_no_timeout(self):
+        async def scenario():
+            started = asyncio.Event()
+
+            async def transport(host, port):
+                started.set()
+                await asyncio.sleep(60)
+                return True
+
+            proxy, _ = make_proxy([], request_timeout_s=5.0)
+            proxy.transport = transport
+            task = asyncio.ensure_future(proxy.dispatch())
+            await started.wait()
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            return proxy
+
+        assert asyncio.run(scenario()).timeouts == 0
 
     def test_validation(self):
         with pytest.raises(MeshError):

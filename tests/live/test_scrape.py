@@ -248,6 +248,27 @@ class TestConcurrentRounds:
         assert asyncio.run(scenario()) == []
 
 
+class TestFetchDeadline:
+    def test_deadline_runs_the_fetch_in_the_callers_task(self):
+        # As LiveProxy's attempt: no task per fetch (3.11's wait_for
+        # made one; 3.12's does not, so there this passes either way).
+        seen = []
+
+        class Client:
+            async def get(self, host, port, path):
+                seen.append(asyncio.all_tasks())
+                return 200, b"up 1\n"
+
+        async def scenario():
+            page = await fetch_metrics("127.0.0.1", 9, timeout_s=5.0,
+                                       client=Client())
+            return page, asyncio.current_task()
+
+        page, caller = asyncio.run(scenario())
+        assert page == "up 1\n"
+        assert seen == [{caller}]
+
+
 class TestPooledScrapes:
     """Real sockets: the scraper's rounds share connections per target."""
 

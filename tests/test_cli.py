@@ -160,6 +160,9 @@ class TestLiveCommand:
         # 4 scrape targets + a few proxy connections, each reused.
         assert 0 < payload["connections_opened"] < payload["requests"] / 2
         assert payload["connection_reuse_ratio"] > 0.5
+        assert set(payload["send_lag_ms"]) == {"p50", "p99"}
+        assert 0.0 <= payload["send_lag_ms"]["p50"] \
+            <= payload["send_lag_ms"]["p99"]
 
     def test_live_rejects_unknown_algorithm(self):
         with pytest.raises(SystemExit):

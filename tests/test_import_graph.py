@@ -120,9 +120,7 @@ def test_cli_cold_start_loads_no_runtime(argv):
         m for m in loaded
         if m.startswith(("repro.mesh", "repro.bench", "repro.balancers."))
         and m != "repro.balancers.factory"
-        # The simulator's kernel; its rng module only holds the normal
-        # quantiles the scenario profiles are parameterised with.
-        or (m.startswith("repro.sim.") and m != "repro.sim.rng")
+        or _within(m, ("repro.sim",))
         or (m.startswith("repro.live.") and m != "repro.live.harness")
         or _within(m, HEAVY_STDLIB))
     assert runtime == []
