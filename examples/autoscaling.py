@@ -14,8 +14,9 @@ Run with::
 """
 
 from repro.autoscale import AutoscalePolicy, SimAutoscaleSet
-from repro.balancers.l3 import L3Balancer
+from repro.balancers.periodic import PeriodicSplitBalancer
 from repro.core.config import L3Config
+from repro.core.controller import L3Controller
 from repro.mesh.mesh import ServiceMesh
 from repro.mesh.network import WanLink
 from repro.sim.engine import Simulator
@@ -49,8 +50,8 @@ def main() -> None:
     scraper = Scraper(store, interval_s=5.0)
     source = PromMetricsSource(store, scope="cluster-1")
     deployment = mesh.deployment("api")
-    balancer = L3Balancer(sim, "api", deployment.backend_names(), source,
-                          config=L3Config())
+    balancer = PeriodicSplitBalancer(sim, "api", deployment.backend_names(),
+                                     source, L3Controller, config=L3Config())
     proxy = mesh.client_proxy("cluster-1", "api", balancer)
     mesh.register_all_telemetry(scraper)
 

@@ -12,8 +12,9 @@ Run with::
     python examples/custom_mesh.py
 """
 
-from repro.balancers.l3 import L3Balancer
+from repro.balancers.periodic import PeriodicSplitBalancer
 from repro.core.config import L3Config
+from repro.core.controller import L3Controller
 from repro.mesh.mesh import ServiceMesh
 from repro.mesh.network import WanLink
 from repro.sim.engine import Simulator
@@ -70,8 +71,8 @@ def main() -> None:
     source = PromMetricsSource(store, scope="eu-central")
 
     deployment = mesh.deployment("api")
-    balancer = L3Balancer(sim, "api", deployment.backend_names(), source,
-                          config=L3Config())
+    balancer = PeriodicSplitBalancer(sim, "api", deployment.backend_names(),
+                                     source, L3Controller, config=L3Config())
     proxy = mesh.client_proxy("eu-central", "api", balancer)
     mesh.register_all_telemetry(scraper)
 

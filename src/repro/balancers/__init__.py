@@ -15,22 +15,21 @@ __all__ = [
     "BALANCER_NAMES",
     "Balancer",
     "BalancerSpec",
-    "C3Balancer",
     "C3Config",
+    "C3Controller",
     "EwmaLatencyBalancer",
     "FailoverBalancer",
     "GradientConfig",
     "GradientDescentBalancer",
     "KnapsackConfig",
-    "KnapsackLbBalancer",
-    "L3Balancer",
+    "KnapsackLbController",
     "LeastOutstandingBalancer",
     "LoadCostModel",
     "P2cPeakEwmaBalancer",
     "PeriodicSplitBalancer",
     "RoundRobinBalancer",
-    "ServiceRateAwareBalancer",
     "ServiceRateConfig",
+    "ServiceRateController",
     "StaticWeightBalancer",
     "balancer_specs",
     "controller_balancer_names",
@@ -39,12 +38,11 @@ __all__ = [
     "project_to_floored_simplex",
     "register_balancer",
     "solve_rate_shares",
-    "validate_backend_pool",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.balancers.base": ("Balancer", "validate_backend_pool"),
-    "repro.balancers.c3": ("C3Balancer", "C3Config"),
+    "repro.balancers.base": ("Balancer",),
+    "repro.balancers.c3": ("C3Config", "C3Controller"),
     "repro.balancers.estimate": ("LoadCostModel",),
     "repro.balancers.ewma_latency": ("EwmaLatencyBalancer",),
     "repro.balancers.failover": ("FailoverBalancer",),
@@ -52,14 +50,13 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "GradientConfig", "GradientDescentBalancer",
         "project_to_floored_simplex"),
     "repro.balancers.knapsack": (
-        "KnapsackConfig", "KnapsackLbBalancer", "greedy_allocation"),
-    "repro.balancers.l3": ("L3Balancer",),
+        "KnapsackConfig", "KnapsackLbController", "greedy_allocation"),
     "repro.balancers.least_outstanding": ("LeastOutstandingBalancer",),
     "repro.balancers.p2c": ("P2cPeakEwmaBalancer",),
     "repro.balancers.periodic": ("PeriodicSplitBalancer",),
     "repro.balancers.round_robin": ("RoundRobinBalancer",),
     "repro.balancers.service_rate": (
-        "ServiceRateAwareBalancer", "ServiceRateConfig", "solve_rate_shares"),
+        "ServiceRateConfig", "ServiceRateController", "solve_rate_shares"),
     "repro.balancers.static_weights": ("StaticWeightBalancer",),
     "repro.balancers.factory": (
         "BALANCER_NAMES", "BalancerSpec", "balancer_specs",

@@ -14,24 +14,6 @@ from __future__ import annotations
 
 import abc
 
-from repro.errors import ConfigError
-
-
-def validate_backend_pool(backend_names, algorithm: str) -> list[str]:
-    """Validate a backend pool the same way for every balancer.
-
-    Every balancer accepts the degenerate one-backend pool (it must
-    return that backend without attempting to sample two distinct ones)
-    and rejects the two states no pick can recover from: an empty pool
-    and duplicate names (duplicates silently skew every sampling scheme).
-    """
-    names = list(backend_names)
-    if not names:
-        raise ConfigError(f"{algorithm} needs at least one backend")
-    if len(set(names)) != len(names):
-        raise ConfigError(f"{algorithm}: duplicate backends: {names}")
-    return names
-
 
 class Balancer(abc.ABC):
     """Chooses the backend for each outgoing request."""

@@ -26,21 +26,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.balancers.periodic import PeriodicSplitBalancer
+from repro.core.config import ReconcileConfig
+from repro.core.controller import ReconcileController, latency_signal_reader
 from repro.core.ewma import Ewma, half_life_to_beta
 from repro.errors import ConfigError
-from repro.sim.engine import Simulator
 
 _MIN_SCORE = 1e-6
 
 
 @dataclass(frozen=True)
-class C3Config:
+class C3Config(ReconcileConfig):
     """Tunables of the C3 adaptation (defaults match the L3 loop cadence)."""
 
-    reconcile_interval_s: float = 5.0
-    metrics_window_s: float = 10.0
-    percentile: float = 0.99
     latency_half_life_s: float = 5.0
     queue_half_life_s: float = 5.0
     default_latency_s: float = 5.0
@@ -61,17 +58,12 @@ class C3Config:
     queue_signal: str = "server"
 
     def __post_init__(self):
-        for name in ("reconcile_interval_s", "metrics_window_s",
-                     "latency_half_life_s", "queue_half_life_s",
+        super().__post_init__()
+        for name in ("latency_half_life_s", "queue_half_life_s",
                      "default_latency_s", "weight_scale", "queue_divisor"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if not 0.0 < self.percentile < 1.0:
-            raise ConfigError(f"percentile must be in (0, 1): {self.percentile}")
-        if self.latency_signal not in ("mean", "percentile"):
-            raise ConfigError(
-                f"latency_signal must be 'mean' or 'percentile': "
-                f"{self.latency_signal!r}")
+        latency_signal_reader(self.latency_signal)
         if self.queue_signal not in ("server", "inflight"):
             raise ConfigError(
                 f"queue_signal must be 'server' or 'inflight': "
@@ -95,82 +87,38 @@ class _C3BackendState:
         self.queue = Ewma(0.0, half_life_to_beta(config.queue_half_life_s), now)
 
 
-class C3Controller:
+class C3Controller(ReconcileController):
     """Periodic reconcile loop computing C3 weights from windowed metrics."""
 
-    def __init__(self, backend_names, metrics_source, weight_sink,
-                 config: C3Config | None = None, start_time: float = 0.0):
-        if not backend_names:
-            raise ConfigError("C3 needs at least one backend")
-        self.config = config or C3Config()
-        self.metrics_source = metrics_source
-        self.weight_sink = weight_sink
-        self.backends = {
-            name: _C3BackendState(self.config, start_time)
-            for name in backend_names
-        }
-        self.last_weights: dict[str, int] = {}
-        self.reconcile_count = 0
-        # Pause support (fault injection), mirroring L3Controller.
-        self.paused = False
+    config_type = C3Config
 
-    def pause(self) -> None:
-        """Suspend the reconcile loop (fault injection: stalled operator)."""
-        self.paused = True
+    def new_backend(self, name: str, start_time: float) -> _C3BackendState:
+        return _C3BackendState(self.config, start_time)
 
-    def resume(self) -> None:
-        """Resume a paused reconcile loop."""
-        self.paused = False
-
-    def reconcile(self, now: float) -> dict[str, int]:
-        """One metrics → cubic scores → weights cycle (pushed to the sink)."""
-        samples = self.metrics_source.collect(
-            list(self.backends), now, self.config.metrics_window_s,
-            self.config.percentile)
+    def solve(self, samples, now: float) -> dict[str, int]:
+        """Filter the samples, then weigh by inverse cubic score."""
+        config = self.config
+        latency_of = latency_signal_reader(config.latency_signal)
+        # Server-reported queue sizes; 0 when the source cannot provide them.
+        server_queue = getattr(self.metrics_source, "server_queue", None)
         weights: dict[str, int] = {}
         for name, state in self.backends.items():
             sample = samples.get(name)
             if sample is not None:
-                if self.config.latency_signal == "mean":
-                    latency = sample.mean_latency_s
-                else:
-                    latency = sample.latency_s
+                latency = latency_of(sample)
                 if latency is not None:
                     state.latency.observe(latency, now)
                 # C3 cubes the server-reported queue size (NSDI '15) — it
                 # does not normalise by throughput (that normalisation is
                 # one of L3's §3.1 design points).
-                if self.config.queue_signal == "server":
-                    queue = self._server_queue(name, now)
-                else:
+                if config.queue_signal == "inflight":
                     queue = sample.inflight
-                state.queue.observe(queue / self.config.queue_divisor, now)
+                elif server_queue is None:
+                    queue = 0.0
+                else:
+                    queue = server_queue(name, now, config.metrics_window_s)
+                state.queue.observe(queue / config.queue_divisor, now)
             score = c3_score(state.latency.value, state.queue.value)
-            raw = self.config.weight_scale / score
-            weights[name] = max(int(round(raw)), int(self.config.min_weight))
-        self.weight_sink.set_weights(weights, now)
-        self.last_weights = weights
-        self.reconcile_count += 1
+            raw = config.weight_scale / score
+            weights[name] = max(int(round(raw)), int(config.min_weight))
         return weights
-
-    def _server_queue(self, name: str, now: float) -> float:
-        """Server-reported queue size; 0 when the source cannot provide it."""
-        reader = getattr(self.metrics_source, "server_queue", None)
-        if reader is None:
-            return 0.0
-        return reader(name, now, self.config.metrics_window_s)
-
-
-class C3Balancer(PeriodicSplitBalancer):
-    """C3 adaptation driving a TrafficSplit — the paper's comparator."""
-
-    def __init__(self, sim: Simulator, service: str, backend_names,
-                 metrics_source, config: C3Config | None = None,
-                 propagation_delay_s: float = 0.5):
-        self.config = config or C3Config()
-        super().__init__(
-            sim, service, backend_names,
-            lambda split: C3Controller(
-                list(backend_names), metrics_source, split,
-                config=self.config, start_time=sim.now),
-            propagation_delay_s=propagation_delay_s)

@@ -12,7 +12,8 @@ this balancer exists to demonstrate in the tournament.
 
 from __future__ import annotations
 
-from repro.balancers.base import Balancer, validate_backend_pool
+from repro.balancers.base import Balancer
+from repro.core.controller import validate_backend_pool
 from repro.core.ewma import Ewma, half_life_to_beta
 
 

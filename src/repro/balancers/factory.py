@@ -53,6 +53,16 @@ def register_balancer(name: str, *, summary: str, controller: bool = False):
     return decorate
 
 
+def _periodic(ctx, controller_type, config=None):
+    """The controller-based algorithms' one balancer class."""
+    from repro.balancers.periodic import PeriodicSplitBalancer
+
+    return PeriodicSplitBalancer(
+        ctx.sim, ctx.service, ctx.backend_names, ctx.metrics_source,
+        controller_type, config=config,
+        propagation_delay_s=ctx.propagation_delay_s)
+
+
 @register_balancer(
     "round-robin",
     summary="cycle through backends in fixed order (paper baseline)")
@@ -66,35 +76,29 @@ def _build_round_robin(ctx):
     "c3", controller=True,
     summary="cubic queue-aware scoring, adapted (paper comparator)")
 def _build_c3(ctx):
-    from repro.balancers.c3 import C3Balancer
+    from repro.balancers.c3 import C3Controller
 
-    return C3Balancer(ctx.sim, ctx.service, ctx.backend_names,
-                      ctx.metrics_source,
-                      propagation_delay_s=ctx.propagation_delay_s)
+    return _periodic(ctx, C3Controller)
 
 
 @register_balancer(
     "l3", controller=True,
     summary="the paper's latency-aware controller (EWMA filter)")
 def _build_l3(ctx):
-    from repro.balancers.l3 import L3Balancer
+    from repro.core.controller import L3Controller
 
     config = replace(ctx.l3_config or L3Config(), use_peak_ewma=False)
-    return L3Balancer(ctx.sim, ctx.service, ctx.backend_names,
-                      ctx.metrics_source, config=config,
-                      propagation_delay_s=ctx.propagation_delay_s)
+    return _periodic(ctx, L3Controller, config)
 
 
 @register_balancer(
     "l3-peak", controller=True,
     summary="L3 with the PeakEWMA latency filter (paper §5.2.2)")
 def _build_l3_peak(ctx):
-    from repro.balancers.l3 import L3Balancer
+    from repro.core.controller import L3Controller
 
     config = replace(ctx.l3_config or L3Config(), use_peak_ewma=True)
-    return L3Balancer(ctx.sim, ctx.service, ctx.backend_names,
-                      ctx.metrics_source, config=config,
-                      propagation_delay_s=ctx.propagation_delay_s)
+    return _periodic(ctx, L3Controller, config)
 
 
 @register_balancer(
@@ -141,11 +145,9 @@ def _build_ewma(ctx):
     "knapsack", controller=True,
     summary="KnapsackLB: greedy knapsack over calibrated latency curves")
 def _build_knapsack(ctx):
-    from repro.balancers.knapsack import KnapsackLbBalancer
+    from repro.balancers.knapsack import KnapsackLbController
 
-    return KnapsackLbBalancer(ctx.sim, ctx.service, ctx.backend_names,
-                              ctx.metrics_source,
-                              propagation_delay_s=ctx.propagation_delay_s)
+    return _periodic(ctx, KnapsackLbController)
 
 
 @register_balancer(
@@ -161,11 +163,9 @@ def _build_gradient(ctx):
     "service-rate", controller=True,
     summary="workload-dependent service-rate estimation + fixed point")
 def _build_service_rate(ctx):
-    from repro.balancers.service_rate import ServiceRateAwareBalancer
+    from repro.balancers.service_rate import ServiceRateController
 
-    return ServiceRateAwareBalancer(ctx.sim, ctx.service, ctx.backend_names,
-                                    ctx.metrics_source,
-                                    propagation_delay_s=ctx.propagation_delay_s)
+    return _periodic(ctx, ServiceRateController)
 
 
 #: Every registered algorithm, in registration (= presentation) order.

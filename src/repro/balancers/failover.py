@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.balancers.base import Balancer, validate_backend_pool
+from repro.balancers.base import Balancer
+from repro.core.controller import validate_backend_pool
 from repro.errors import ConfigError
 
 

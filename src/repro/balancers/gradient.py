@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.balancers.base import Balancer, validate_backend_pool
+from repro.balancers.base import Balancer
+from repro.core.controller import validate_backend_pool
 from repro.errors import ConfigError
 from repro.sim.engine import Simulator
 

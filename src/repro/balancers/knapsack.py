@@ -31,18 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.balancers.estimate import LoadCostModel
-from repro.balancers.periodic import PeriodicSplitBalancer
+from repro.core.config import ReconcileConfig
+from repro.core.controller import ReconcileController, latency_signal_reader
 from repro.errors import ConfigError
-from repro.sim.engine import Simulator
 
 
 @dataclass(frozen=True)
-class KnapsackConfig:
+class KnapsackConfig(ReconcileConfig):
     """Tunables of the KnapsackLB adaptation (cadence matches L3's loop)."""
 
-    reconcile_interval_s: float = 5.0
-    metrics_window_s: float = 10.0
-    percentile: float = 0.99
     # Latency signal feeding the curve fit: "mean" is the stabler
     # calibration target; "percentile" optimises the tail directly.
     latency_signal: str = "mean"
@@ -56,16 +53,10 @@ class KnapsackConfig:
     history_points: int = 24
 
     def __post_init__(self):
-        for name in ("reconcile_interval_s", "metrics_window_s",
-                     "default_latency_s"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if not 0.0 < self.percentile < 1.0:
-            raise ConfigError(f"percentile must be in (0, 1): {self.percentile}")
-        if self.latency_signal not in ("mean", "percentile"):
-            raise ConfigError(
-                f"latency_signal must be 'mean' or 'percentile': "
-                f"{self.latency_signal!r}")
+        super().__post_init__()
+        if self.default_latency_s <= 0:
+            raise ConfigError("default_latency_s must be positive")
+        latency_signal_reader(self.latency_signal)
         if self.allocation_units < 1:
             raise ConfigError(
                 f"allocation_units must be >= 1: {self.allocation_units}")
@@ -98,73 +89,31 @@ def greedy_allocation(models: dict[str, LoadCostModel], total_rps: float,
     return counts
 
 
-class KnapsackLbController:
+class KnapsackLbController(ReconcileController):
     """Periodic calibrate-then-solve loop pushing knapsack weights."""
 
-    def __init__(self, backend_names, metrics_source, weight_sink,
-                 config: KnapsackConfig | None = None):
-        if not backend_names:
-            raise ConfigError("knapsack needs at least one backend")
-        self.config = config or KnapsackConfig()
-        self.metrics_source = metrics_source
-        self.weight_sink = weight_sink
-        self.models = {
-            name: LoadCostModel(self.config.default_latency_s,
-                                max_points=self.config.history_points)
-            for name in backend_names
-        }
-        self.last_weights: dict[str, int] = {}
-        self.reconcile_count = 0
-        self.paused = False
+    config_type = KnapsackConfig
 
-    def pause(self) -> None:
-        """Suspend the reconcile loop (fault injection: stalled operator)."""
-        self.paused = True
+    def new_backend(self, name: str, start_time: float) -> LoadCostModel:
+        return LoadCostModel(self.config.default_latency_s,
+                             max_points=self.config.history_points)
 
-    def resume(self) -> None:
-        """Resume a paused reconcile loop."""
-        self.paused = False
-
-    def reconcile(self, now: float) -> dict[str, int]:
-        """One calibration + greedy-solve cycle (pushed to the sink)."""
+    def solve(self, samples, now: float) -> dict[str, int]:
+        """Calibrate each backend's curve, then solve the knapsack."""
         config = self.config
-        samples = self.metrics_source.collect(
-            list(self.models), now, config.metrics_window_s,
-            config.percentile)
+        latency_of = latency_signal_reader(config.latency_signal)
         total_rps = 0.0
-        for name, model in self.models.items():
+        for name, model in self.backends.items():
             sample = samples.get(name)
             if sample is None:
                 continue
-            if config.latency_signal == "mean":
-                latency = sample.mean_latency_s
-            else:
-                latency = sample.latency_s
+            latency = latency_of(sample)
             if latency is not None:
                 model.observe(sample.rps, latency)
             total_rps += sample.rps
         counts = greedy_allocation(
-            self.models, total_rps, config.allocation_units)
-        weights = {
+            self.backends, total_rps, config.allocation_units)
+        return {
             name: max(count, config.min_weight)
             for name, count in counts.items()
         }
-        self.weight_sink.set_weights(weights, now)
-        self.last_weights = weights
-        self.reconcile_count += 1
-        return weights
-
-
-class KnapsackLbBalancer(PeriodicSplitBalancer):
-    """KnapsackLB adaptation driving a TrafficSplit."""
-
-    def __init__(self, sim: Simulator, service: str, backend_names,
-                 metrics_source, config: KnapsackConfig | None = None,
-                 propagation_delay_s: float = 0.5):
-        self.config = config or KnapsackConfig()
-        super().__init__(
-            sim, service, backend_names,
-            lambda split: KnapsackLbController(
-                list(backend_names), metrics_source, split,
-                config=self.config),
-            propagation_delay_s=propagation_delay_s)

@@ -13,7 +13,8 @@ tournament's degraded-backend cell makes visible).
 
 from __future__ import annotations
 
-from repro.balancers.base import Balancer, validate_backend_pool
+from repro.balancers.base import Balancer
+from repro.core.controller import validate_backend_pool
 
 
 class LeastOutstandingBalancer(Balancer):

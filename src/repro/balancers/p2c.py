@@ -11,7 +11,8 @@ function).
 
 from __future__ import annotations
 
-from repro.balancers.base import Balancer, validate_backend_pool
+from repro.balancers.base import Balancer
+from repro.core.controller import validate_backend_pool
 from repro.core.ewma import PeakEwma, half_life_to_beta
 
 

@@ -1,14 +1,10 @@
-"""Shared glue for balancers built as controller + TrafficSplit pairs.
+"""The one balancer for every controller-based algorithm (paper Fig. 5).
 
 L3, C3 and the weight solvers (KnapsackLB, the service-rate model) are
 the same three-piece sandwich: a TrafficSplit the data plane samples, a
-controller with a periodic ``reconcile`` that writes weights into it,
-and a ``sim.every`` loop ticking the reconcile. This module factors
-it once: a controller only has to provide
-``reconcile(now)``/``pause()``/``resume()`` plus the
-``last_weights``/``reconcile_count`` introspection fields, and
-:class:`PeriodicSplitBalancer` supplies the split, the pick path and the
-loop lifecycle.
+:class:`~repro.core.controller.ReconcileController` whose periodic
+``reconcile`` writes weights into it, and a ``sim.every`` loop ticking
+the reconcile. An algorithm is only the controller class it is given.
 """
 
 from __future__ import annotations
@@ -21,20 +17,26 @@ from repro.sim.engine import Simulator
 class PeriodicSplitBalancer(Balancer):
     """A TrafficSplit kept fresh by a periodic reconcile controller.
 
-    Subclasses construct their controller in ``__init__`` via
-    ``make_controller(split)`` and inherit pick/start/stop; the
-    controller's ``reconcile_interval_s`` config field sets the loop
-    cadence.
+    ``controller_type(names, metrics_source, split, config,
+    start_time=sim.now)`` builds the controller; its config's
+    ``reconcile_interval_s`` sets the loop cadence.
     """
 
     def __init__(self, sim: Simulator, service: str, backend_names,
-                 make_controller, propagation_delay_s: float = 0.5):
+                 metrics_source, controller_type, config=None,
+                 propagation_delay_s: float = 0.5):
         self.sim = sim
         self.split = TrafficSplit(
             sim, service, backend_names,
             propagation_delay_s=propagation_delay_s)
-        self.controller = make_controller(self.split)
+        self.controller = controller_type(
+            list(backend_names), metrics_source, self.split, config,
+            start_time=sim.now)
         self._loop = None
+
+    @property
+    def config(self):
+        return self.controller.config
 
     def pick(self, rng, now: float) -> str:
         return self.split.pick(rng)

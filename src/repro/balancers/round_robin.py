@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.balancers.base import Balancer, validate_backend_pool
+from repro.balancers.base import Balancer
+from repro.core.controller import validate_backend_pool
 
 
 class RoundRobinBalancer(Balancer):

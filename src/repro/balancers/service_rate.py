@@ -33,18 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.balancers.estimate import LoadCostModel
-from repro.balancers.periodic import PeriodicSplitBalancer
+from repro.core.config import ReconcileConfig
+from repro.core.controller import ReconcileController
 from repro.errors import ConfigError
-from repro.sim.engine import Simulator
 
 
 @dataclass(frozen=True)
-class ServiceRateConfig:
+class ServiceRateConfig(ReconcileConfig):
     """Tunables of the service-rate-aware solver."""
 
-    reconcile_interval_s: float = 5.0
-    metrics_window_s: float = 10.0
-    percentile: float = 0.99
     # Service-time prior before a backend's first observation.
     default_service_time_s: float = 0.05
     # Fixed-point rounds of the split <-> rate solve.
@@ -54,12 +51,9 @@ class ServiceRateConfig:
     history_points: int = 24
 
     def __post_init__(self):
-        for name in ("reconcile_interval_s", "metrics_window_s",
-                     "default_service_time_s"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if not 0.0 < self.percentile < 1.0:
-            raise ConfigError(f"percentile must be in (0, 1): {self.percentile}")
+        super().__post_init__()
+        if self.default_service_time_s <= 0:
+            raise ConfigError("default_service_time_s must be positive")
         if self.solve_iterations < 1:
             raise ConfigError(
                 f"solve_iterations must be >= 1: {self.solve_iterations}")
@@ -88,41 +82,21 @@ def solve_rate_shares(models: dict[str, LoadCostModel], total_rps: float,
     return shares
 
 
-class ServiceRateController:
+class ServiceRateController(ReconcileController):
     """Periodic estimate-then-solve loop pushing service-rate weights."""
 
-    def __init__(self, backend_names, metrics_source, weight_sink,
-                 config: ServiceRateConfig | None = None):
-        if not backend_names:
-            raise ConfigError("service-rate needs at least one backend")
-        self.config = config or ServiceRateConfig()
-        self.metrics_source = metrics_source
-        self.weight_sink = weight_sink
-        self.models = {
-            name: LoadCostModel(self.config.default_service_time_s,
-                                max_points=self.config.history_points)
-            for name in backend_names
-        }
-        self.last_weights: dict[str, int] = {}
-        self.reconcile_count = 0
-        self.paused = False
+    config_type = ServiceRateConfig
 
-    def pause(self) -> None:
-        """Suspend the reconcile loop (fault injection: stalled operator)."""
-        self.paused = True
+    def new_backend(self, name: str, start_time: float) -> LoadCostModel:
+        return LoadCostModel(self.config.default_service_time_s,
+                             max_points=self.config.history_points)
 
-    def resume(self) -> None:
-        """Resume a paused reconcile loop."""
-        self.paused = False
-
-    def reconcile(self, now: float) -> dict[str, int]:
-        """One estimation + fixed-point-solve cycle (pushed to the sink)."""
+    def solve(self, samples, now: float) -> dict[str, int]:
+        """Estimate each backend's service-time curve, then solve the
+        fixed point."""
         config = self.config
-        samples = self.metrics_source.collect(
-            list(self.models), now, config.metrics_window_s,
-            config.percentile)
         total_rps = 0.0
-        for name, model in self.models.items():
+        for name, model in self.backends.items():
             sample = samples.get(name)
             if sample is None:
                 continue
@@ -132,28 +106,9 @@ class ServiceRateController:
                 model.observe(sample.rps, service_time)
             total_rps += sample.rps
         shares = solve_rate_shares(
-            self.models, total_rps, config.solve_iterations)
-        weights = {
+            self.backends, total_rps, config.solve_iterations)
+        return {
             name: max(int(round(share * config.weight_scale)),
                       config.min_weight)
             for name, share in shares.items()
         }
-        self.weight_sink.set_weights(weights, now)
-        self.last_weights = weights
-        self.reconcile_count += 1
-        return weights
-
-
-class ServiceRateAwareBalancer(PeriodicSplitBalancer):
-    """Workload-dependent service-rate solver driving a TrafficSplit."""
-
-    def __init__(self, sim: Simulator, service: str, backend_names,
-                 metrics_source, config: ServiceRateConfig | None = None,
-                 propagation_delay_s: float = 0.5):
-        self.config = config or ServiceRateConfig()
-        super().__init__(
-            sim, service, backend_names,
-            lambda split: ServiceRateController(
-                list(backend_names), metrics_source, split,
-                config=self.config),
-            propagation_delay_s=propagation_delay_s)

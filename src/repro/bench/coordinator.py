@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 # The paper's algorithm, which the benchmarks run, loads with the
 # coordinator rather than inside the first run; the registry imports
 # every other balancer when one is built.
-import repro.balancers.l3  # noqa: F401
+import repro.balancers.periodic  # noqa: F401
+import repro.core.controller  # noqa: F401
 from repro.analysis.percentiles import Percentiles
 from repro.analysis.stats import success_rate as _success_rate
-from repro.balancers.factory import make_balancer
+from repro.balancers.factory import controller_balancer_names, make_balancer
 from repro.core.config import L3Config
 from repro.errors import ConfigError
 from repro.faults.base import FaultInjector
@@ -253,6 +254,8 @@ def run_scenario_benchmark(scenario: str | Scenario, algorithm: str,
         faults: extra :class:`~repro.faults.base.Fault` schedules, merged
             with ``scenario.faults``. Fault times count from the start of
             the measured period (warm-up is prepended automatically).
+            A controller fault the run cannot carry out raises
+            :class:`~repro.errors.FaultSpecError` before it starts.
         tracer: optional :class:`~repro.tracing.recorder.MeshTracer`;
             when given, every request of the run (warm-up included) emits
             spans into it, and a controller-based algorithm additionally
@@ -278,6 +281,13 @@ def run_scenario_benchmark(scenario: str | Scenario, algorithm: str,
         # deterministic recording); a shorter benchmark simply measures a
         # prefix of it, a longer one wraps around.
         scenario = build_scenario(scenario)
+    all_faults = list(scenario.faults) + list(faults or [])
+    if all_faults:
+        from repro.faults.spec import check_controller_faults
+
+        check_controller_faults(
+            all_faults, algorithm,
+            has_controller=algorithm in controller_balancer_names())
     sim, rng, mesh, store, scraper = _build_world(
         scenario.clusters(), seed, env, tracer)
     # Fleet scenarios carry their own topology: per-cluster replica
@@ -310,20 +320,17 @@ def run_scenario_benchmark(scenario: str | Scenario, algorithm: str,
         request_timeout_s=env.request_timeout_s,
         outlier_ejection=env.outlier_ejection)
     mesh.register_all_telemetry(scraper)
+    controller = getattr(balancer, "controller", None)
 
-    if tracer is not None:
-        controller = getattr(balancer, "controller", None)
-        if controller is not None:
-            from repro.tracing.audit import DecisionAuditLog
+    if tracer is not None and controller is not None:
+        from repro.tracing.audit import DecisionAuditLog
 
-            audit = DecisionAuditLog(tracer, prefix=algorithm)
-            controller.audit = audit
-            tracer.audit = audit
+        audit = DecisionAuditLog(tracer, prefix=algorithm)
+        controller.audit = audit
+        tracer.audit = audit
 
-    all_faults = list(scenario.faults) + list(faults or [])
     injector = None
     if all_faults:
-        controller = getattr(balancer, "controller", None)
         injector = FaultInjector(
             mesh, scraper=scraper,
             controllers=[controller] if controller is not None else [])
@@ -340,13 +347,12 @@ def run_scenario_benchmark(scenario: str | Scenario, algorithm: str,
             autoscale, scenario.clusters())
         autoscale_set = SimAutoscaleSet(
             deployment, policies, source, scraper,
-            controller=getattr(balancer, "controller", None))
+            controller=controller)
 
     measured = _run_measured(
         sim, rng, scraper, proxy, scenario.rps, balancer, env, duration_s,
         autoscale_set=autoscale_set)
     weights = {}
-    controller = getattr(balancer, "controller", None)
     if controller is not None:
         weights = dict(controller.last_weights)
     result = BenchmarkResult(

@@ -1,4 +1,4 @@
-"""Configuration for the L3 controller (paper §3 and §4 defaults)."""
+"""Configuration of the reconcile loops (paper §3 and §4 defaults)."""
 
 from __future__ import annotations
 
@@ -9,19 +9,39 @@ from repro.core.weighting import WeightingConfig
 
 
 @dataclass(frozen=True)
-class L3Config:
-    """All tunables of the L3 control loop, defaulting to the paper's values.
+class ReconcileConfig:
+    """The cadence every reconcile-loop controller shares.
 
     Attributes:
-        percentile: latency percentile driving the weighting algorithm.
-            §3.1 uses P99 and notes P98 / P99.9 are drop-in alternatives.
-        weighting: Algorithm 1 tunables (penalty factor et al.).
-        use_peak_ewma: filter latency with PeakEWMA (Eq. 2) instead of
-            EWMA (Eq. 1). §5.2.2 finds plain EWMA slightly better overall.
         reconcile_interval_s: how often metrics are fetched and weights
             written (§4: every 5 s).
         metrics_window_s: trailing window for counter-rate queries (§4:
             10 s, so the window always holds at least two scrape samples).
+        percentile: latency percentile the metrics query returns.
+            §3.1 uses P99 and notes P98 / P99.9 are drop-in alternatives.
+    """
+
+    reconcile_interval_s: float = 5.0
+    metrics_window_s: float = 10.0
+    percentile: float = 0.99
+
+    def __post_init__(self):
+        for name in ("reconcile_interval_s", "metrics_window_s"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ConfigError(f"{name} must be positive: {value}")
+        if not 0.0 < self.percentile < 1.0:
+            raise ConfigError(f"percentile must be in (0, 1): {self.percentile}")
+
+
+@dataclass(frozen=True)
+class L3Config(ReconcileConfig):
+    """All tunables of the L3 control loop, defaulting to the paper's values.
+
+    Attributes:
+        weighting: Algorithm 1 tunables (penalty factor et al.).
+        use_peak_ewma: filter latency with PeakEWMA (Eq. 2) instead of
+            EWMA (Eq. 1). §5.2.2 finds plain EWMA slightly better overall.
         latency_half_life_s / inflight_half_life_s: EWMA half-lives (§4: 5 s).
         success_half_life_s / rps_half_life_s: EWMA half-lives (§4: 10 s).
         default_latency_s: EWMA default λ for latency (§4: 5 s).
@@ -34,11 +54,8 @@ class L3Config:
         rate_control_enabled: toggle for the Algorithm 2 stage (ablation).
     """
 
-    percentile: float = 0.99
     weighting: WeightingConfig = field(default_factory=WeightingConfig)
     use_peak_ewma: bool = False
-    reconcile_interval_s: float = 5.0
-    metrics_window_s: float = 10.0
     latency_half_life_s: float = 5.0
     inflight_half_life_s: float = 5.0
     success_half_life_s: float = 10.0
@@ -59,6 +76,7 @@ class L3Config:
     cost: object | None = None  # Optional[CostConfig]
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.dynamic_penalty_percentile < 1.0:
             raise ConfigError(
                 "dynamic penalty percentile must be in (0, 1): "
@@ -67,10 +85,7 @@ class L3Config:
             raise ConfigError(
                 "dynamic penalty half-life must be positive: "
                 f"{self.dynamic_penalty_half_life_s}")
-        if not 0.0 < self.percentile < 1.0:
-            raise ConfigError(f"percentile must be in (0, 1): {self.percentile}")
-        for name in ("reconcile_interval_s", "metrics_window_s",
-                     "latency_half_life_s", "inflight_half_life_s",
+        for name in ("latency_half_life_s", "inflight_half_life_s",
                      "success_half_life_s", "rps_half_life_s",
                      "default_latency_s", "staleness_s"):
             value = getattr(self, name)

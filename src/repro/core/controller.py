@@ -1,4 +1,4 @@
-"""The L3 reconcile loop (paper §4, Fig. 5).
+"""The reconcile loop every controller shares, and L3's (paper §4, Fig. 5).
 
 Every ``reconcile_interval_s`` the controller:
 
@@ -24,11 +24,13 @@ from __future__ import annotations
 import math
 import typing
 from dataclasses import dataclass
+from operator import attrgetter
 
-from repro.core.config import L3Config
+from repro.core.config import L3Config, ReconcileConfig
 from repro.core.ewma import Ewma, half_life_to_beta
 from repro.core.rate_control import apply_rate_control, relative_change
 from repro.core.state import BackendMetricState
+from repro.errors import ConfigError
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,6 +55,38 @@ class MetricSample:
     mean_latency_s: float | None = None
 
 
+def validate_backend_pool(backend_names, algorithm: str) -> list[str]:
+    """Validate a backend pool the same way for every balancer.
+
+    Every balancer accepts the degenerate one-backend pool (it must
+    return that backend without attempting to sample two distinct ones)
+    and rejects the two states no pick can recover from: an empty pool
+    and duplicate names (duplicates silently skew every sampling scheme).
+    """
+    names = list(backend_names)
+    if not names:
+        raise ConfigError(f"{algorithm} needs at least one backend")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"{algorithm}: duplicate backends: {names}")
+    return names
+
+
+_LATENCY_SIGNALS = {
+    "mean": attrgetter("mean_latency_s"),
+    "percentile": attrgetter("latency_s"),
+}
+
+
+def latency_signal_reader(signal: str):
+    """The :class:`MetricSample` field a config's ``latency_signal`` names
+    (``"mean"`` or ``"percentile"``); raises ``ConfigError`` otherwise."""
+    reader = _LATENCY_SIGNALS.get(signal)
+    if reader is None:
+        raise ConfigError(
+            f"latency_signal must be 'mean' or 'percentile': {signal!r}")
+    return reader
+
+
 class MetricsSource(typing.Protocol):
     """Where the controller gets its aggregated data-plane metrics."""
 
@@ -71,36 +105,31 @@ class WeightSink(typing.Protocol):
         ...  # pragma: no cover - protocol
 
 
-class L3Controller:
-    """The L3 operator's control loop over one TrafficSplit.
+class ReconcileController:
+    """One periodic loop over one TrafficSplit: collect, solve, push.
 
-    Exposes its internal state (filtered metrics, raw and rate-controlled
-    weights, the relative RPS change) after every reconcile, mirroring the
-    paper's Prometheus/OpenTelemetry introspection of the Go operator.
+    Subclasses supply the algorithm: :meth:`new_backend` (one backend's
+    filter or model state, kept in ``backends``), :meth:`solve` (samples
+    → integer weights) and optionally :meth:`committed`, run once the
+    weights reached the sink. While ``paused`` (fault injection: a stalled
+    operator) the run loop skips reconciles entirely.
     """
+
+    #: The config a controller built with ``config=None`` runs.
+    config_type: type[ReconcileConfig] = ReconcileConfig
 
     def __init__(self, backend_names: typing.Sequence[str],
                  metrics_source: MetricsSource, weight_sink: WeightSink,
-                 config: L3Config | None = None, start_time: float = 0.0):
-        if not backend_names:
-            raise ValueError("L3Controller needs at least one backend")
-        if len(set(backend_names)) != len(backend_names):
-            raise ValueError(f"duplicate backend names: {backend_names}")
-        self.config = config or L3Config()
+                 config: ReconcileConfig | None = None,
+                 start_time: float = 0.0):
+        names = validate_backend_pool(backend_names, type(self).__name__)
+        self.config = config or self.config_type()
         self.metrics_source = metrics_source
         self.weight_sink = weight_sink
-        self.backends: dict[str, BackendMetricState] = {
-            name: BackendMetricState(name, self.config, start_time)
-            for name in backend_names
-        }
-        self.total_rps_ewma = Ewma(
-            self.config.default_rps,
-            half_life_to_beta(self.config.rps_half_life_s), start_time)
-        # Introspection of the last reconcile.
-        self.last_raw_weights: dict[str, float] = {}
+        self.backends = {name: self.new_backend(name, start_time)
+                         for name in names}
+        self.paused: bool = False
         self.last_weights: dict[str, int] = {}
-        self.last_relative_change: float = 0.0
-        self.last_total_rps: float = 0.0
         self.reconcile_count: int = 0
         # Degraded mode: reconciles that failed on the metrics source or
         # the weight sink. The controller holds last-known-good weights and
@@ -108,38 +137,11 @@ class L3Controller:
         # API-server outage without zeroing the TrafficSplit).
         self.degraded_reconciles: int = 0
         self.last_error: str | None = None
-        # Pause support (fault injection): while paused the run loop skips
-        # reconciles entirely, modelling a stalled/partitioned operator.
-        self.paused: bool = False
         # Optional decision audit (duck-typed so the core stays free of
-        # tracing imports): anything with record_decision(now, samples,
-        # states, raw_weights, weights, relative_change, total_rps) and
-        # record_degraded(now, error) — see
-        # repro.tracing.audit.DecisionAuditLog. Every reconcile is
-        # reported, making each weight push joinable to the data-plane
-        # requests it routed.
+        # tracing imports): anything with record_degraded(now, error) and,
+        # for L3, record_decision(...) — see
+        # repro.tracing.audit.DecisionAuditLog.
         self.audit = None
-
-    def add_backend(self, name: str, now: float) -> None:
-        """Track a backend added to the TrafficSplit at runtime."""
-        if name in self.backends:
-            raise ValueError(f"backend already tracked: {name}")
-        self.backends[name] = BackendMetricState(name, self.config, now)
-
-    def remove_backend(self, name: str) -> None:
-        """Stop tracking a backend removed from the TrafficSplit.
-
-        The introspection snapshots drop the backend eagerly — a dashboard
-        reading ``last_weights`` between the removal and the next reconcile
-        must never see the ghost of a backend that no longer exists.
-        """
-        if name not in self.backends:
-            raise ValueError(f"unknown backend: {name}")
-        if len(self.backends) == 1:
-            raise ValueError("cannot remove the last backend")
-        del self.backends[name]
-        self.last_weights.pop(name, None)
-        self.last_raw_weights.pop(name, None)
 
     def pause(self) -> None:
         """Suspend the reconcile loop (fault injection: stalled operator)."""
@@ -165,7 +167,72 @@ class L3Controller:
                 config.percentile)
         except Exception as exc:  # noqa: BLE001 - degraded mode by design
             return self._degrade(exc, now)
+        weights = self.solve(samples, now)
+        try:
+            self.weight_sink.set_weights(weights, now)
+        except Exception as exc:  # noqa: BLE001 - degraded mode by design
+            return self._degrade(exc, now)
+        self.last_weights = weights
+        self.reconcile_count += 1
+        self.last_error = None
+        self.committed(samples, weights, now)
+        return weights
 
+    def new_backend(self, name: str, start_time: float):
+        """The state the algorithm keeps for backend ``name``."""
+        raise NotImplementedError
+
+    def solve(self, samples: dict[str, MetricSample | None],
+              now: float) -> dict[str, int]:
+        """One round of samples → integer weights (the algorithm)."""
+        raise NotImplementedError
+
+    def committed(self, samples: dict[str, MetricSample | None],
+                  weights: dict[str, int], now: float) -> None:
+        """Hook: ``weights`` reached the sink."""
+
+    def _degrade(self, exc: Exception, now: float) -> dict[str, int]:
+        """Record a failed reconcile and hold last-known-good weights."""
+        self.degraded_reconciles += 1
+        self.last_error = f"{type(exc).__name__}: {exc}"
+        if self.audit is not None:
+            self.audit.record_degraded(now, self.last_error)
+        return dict(self.last_weights)
+
+
+class L3Controller(ReconcileController):
+    """The L3 operator's control loop over one TrafficSplit.
+
+    Exposes its internal state (filtered metrics, raw and rate-controlled
+    weights, the relative RPS change) after every reconcile, mirroring the
+    paper's Prometheus/OpenTelemetry introspection of the Go operator.
+    Every pushed decision goes to the audit, making each weight push
+    joinable to the data-plane requests it routed.
+    """
+
+    config_type = L3Config
+
+    def __init__(self, backend_names: typing.Sequence[str],
+                 metrics_source: MetricsSource, weight_sink: WeightSink,
+                 config: L3Config | None = None, start_time: float = 0.0):
+        super().__init__(backend_names, metrics_source, weight_sink,
+                         config, start_time)
+        self.total_rps_ewma = Ewma(
+            self.config.default_rps,
+            half_life_to_beta(self.config.rps_half_life_s), start_time)
+        # Introspection of the last reconcile.
+        self.last_raw_weights: dict[str, float] = {}
+        self.last_relative_change: float = 0.0
+        self.last_total_rps: float = 0.0
+        self._decision: tuple = ()
+
+    def new_backend(self, name: str, start_time: float) -> BackendMetricState:
+        return BackendMetricState(name, self.config, start_time)
+
+    def solve(self, samples, now: float) -> dict[str, int]:
+        """Filter the samples, weigh (Algorithm 1), rate-control
+        (Algorithm 2), bias for cost and round."""
+        config = self.config
         failure_latency = self._failure_latency_reader()
         total_rps = 0.0
         raw_weights = {}
@@ -192,11 +259,10 @@ class L3Controller:
             adjusted = apply_rate_control(
                 raw_weights, rps_ewma_before, total_rps,
                 min_weight=config.weighting.min_weight)
-            self.last_relative_change = relative_change(
-                rps_ewma_before, total_rps)
+            change = relative_change(rps_ewma_before, total_rps)
         else:
             adjusted = dict(raw_weights)
-            self.last_relative_change = 0.0
+            change = 0.0
 
         if config.cost is not None:
             from repro.core.cost import apply_cost_bias
@@ -205,39 +271,27 @@ class L3Controller:
                 adjusted, config.cost,
                 min_weight=config.weighting.min_weight)
 
+        self._decision = (raw_weights, total_rps, change)
         # TrafficSplit weights are non-negative integers (SMI spec); round
         # half-up and keep at least 1 so no backend goes dark. (floor(w +
         # 0.5), not round(): Python rounds half to even, which would turn
         # 2.5 into 2.)
-        weights = {
+        return {
             name: max(math.floor(weight + 0.5), 1)
             for name, weight in adjusted.items()
         }
-        try:
-            self.weight_sink.set_weights(weights, now)
-        except Exception as exc:  # noqa: BLE001 - degraded mode by design
-            return self._degrade(exc, now)
 
+    def committed(self, samples, weights: dict[str, int],
+                  now: float) -> None:
+        raw_weights, total_rps, change = self._decision
         self.last_raw_weights = raw_weights
-        self.last_weights = weights
         self.last_total_rps = total_rps
-        self.reconcile_count += 1
-        self.last_error = None
+        self.last_relative_change = change
         if self.audit is not None:
             self.audit.record_decision(
                 now=now, samples=samples, states=self.backends,
                 raw_weights=raw_weights, weights=weights,
-                relative_change=self.last_relative_change,
-                total_rps=total_rps)
-        return weights
-
-    def _degrade(self, exc: Exception, now: float) -> dict[str, int]:
-        """Record a failed reconcile and hold last-known-good weights."""
-        self.degraded_reconciles += 1
-        self.last_error = f"{type(exc).__name__}: {exc}"
-        if self.audit is not None:
-            self.audit.record_degraded(now, self.last_error)
-        return dict(self.last_weights)
+                relative_change=change, total_rps=total_rps)
 
     def _failure_latency_reader(self):
         """What feeds each backend's penalty filter, or None.

@@ -81,19 +81,15 @@ class LeaseLock:
 class ControllerReplica:
     """One replica of the L3 operator competing for the lease.
 
-    Any object with a ``reconcile(now)`` method works as the controller
-    (both :class:`~repro.core.controller.L3Controller` and the C3
-    controller qualify).
+    Any :class:`~repro.core.controller.ReconcileController` (anything
+    with ``paused`` and ``reconcile(now)``) works as the controller; the
+    caller's loop calls :meth:`step` once per reconcile interval.
     """
 
-    def __init__(self, name: str, controller, lease: LeaseLock,
-                 interval_s: float = 5.0):
-        if interval_s <= 0:
-            raise ConfigError(f"interval must be positive: {interval_s}")
+    def __init__(self, name: str, controller, lease: LeaseLock):
         self.name = name
         self.controller = controller
         self.lease = lease
-        self.interval_s = interval_s
         self._crashed = False
         self.reconciles_as_leader = 0
 
@@ -129,7 +125,7 @@ class ControllerReplica:
             now = self.lease._now(None)
         if not self.lease.try_acquire(self.name, now):
             return False
-        if getattr(self.controller, "paused", False):
+        if self.controller.paused:
             return False
         self.controller.reconcile(now)
         self.reconciles_as_leader += 1

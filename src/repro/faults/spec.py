@@ -232,6 +232,31 @@ def validate_fault_spec(faults: typing.Sequence[Fault],
                     f"{second} starts")
 
 
+def check_controller_faults(faults: typing.Sequence[Fault], algorithm: str,
+                            has_controller: bool, ha_replicas: int = 1,
+                            ) -> None:
+    """Raise :class:`FaultSpecError` before a run whose controller faults
+    cannot run: both kinds need a controller, and a crash needs HA mode
+    and an existing replica index (the simulator runs no HA replicas)."""
+    for fault in faults:
+        if not isinstance(fault, (ControllerCrash, ControllerPause)):
+            continue
+        if not has_controller:
+            raise FaultSpecError(
+                f"fault spec: {fault} targets the controller, but "
+                f"{algorithm} runs without one")
+        if isinstance(fault, ControllerCrash):
+            if ha_replicas < 2:
+                raise FaultSpecError(
+                    f"fault spec: {fault} needs HA mode "
+                    f"(ha_replicas > 1); got {ha_replicas}")
+            if fault.replica_index >= ha_replicas:
+                raise FaultSpecError(
+                    f"fault spec: {fault} names replica "
+                    f"{fault.replica_index}, but only "
+                    f"{ha_replicas} run")
+
+
 def parse_fault_spec(spec: str,
                      clusters: typing.Collection[str] | None = None,
                      services: typing.Collection[str] | None = None,

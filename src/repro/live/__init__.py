@@ -1,7 +1,7 @@
 """The live localhost testbed: the real L3 control plane over sockets.
 
-Runs the **unmodified** control plane — ``L3Balancer`` with its
-``L3Controller`` and ``TrafficSplit``, ``PromMetricsSource``,
+Runs the **unmodified** control plane — ``PeriodicSplitBalancer`` with
+its ``L3Controller`` and ``TrafficSplit``, ``PromMetricsSource``,
 ``TimeSeriesStore`` — on a wall clock against a real networked
 mesh on localhost: asyncio HTTP replica servers whose latency/failure
 behaviour follows the same :class:`~repro.workloads.profiles.BackendProfile`

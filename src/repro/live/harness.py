@@ -52,21 +52,11 @@ def live_l3_config(reconcile_interval_s: float,
     concurrent fetches), so the simulator's exactly-two-intervals
     minimum flaps between one and two visible samples live.
     """
-    factor = reconcile_interval_s / _PAPER_INTERVAL_S
-    base = base or L3Config()
-    window_s = base.metrics_window_s * factor
-    if scrape_interval_s is not None:
-        window_s = max(window_s, 3.0 * scrape_interval_s)
-    return replace(
-        base,
-        reconcile_interval_s=reconcile_interval_s,
-        metrics_window_s=window_s,
-        latency_half_life_s=base.latency_half_life_s * factor,
-        inflight_half_life_s=base.inflight_half_life_s * factor,
-        success_half_life_s=base.success_half_life_s * factor,
-        rps_half_life_s=base.rps_half_life_s * factor,
-        staleness_s=base.staleness_s * factor,
-    )
+    return _retimed(base or L3Config(), reconcile_interval_s,
+                    scrape_interval_s, (
+                        "latency_half_life_s", "inflight_half_life_s",
+                        "success_half_life_s", "rps_half_life_s",
+                        "staleness_s"))
 
 
 def live_c3_config(reconcile_interval_s: float,
@@ -74,17 +64,22 @@ def live_c3_config(reconcile_interval_s: float,
     """A C3Config re-timed the same way as :func:`live_l3_config`."""
     from repro.balancers.c3 import C3Config
 
+    return _retimed(C3Config(), reconcile_interval_s, scrape_interval_s,
+                    ("latency_half_life_s", "queue_half_life_s"))
+
+
+def _retimed(base, reconcile_interval_s: float,
+             scrape_interval_s: float | None, time_constants):
+    """``base`` at ``reconcile_interval_s``, its window and the named
+    time constants scaled by the same factor."""
     factor = reconcile_interval_s / _PAPER_INTERVAL_S
-    base = C3Config()
     window_s = base.metrics_window_s * factor
     if scrape_interval_s is not None:
         window_s = max(window_s, 3.0 * scrape_interval_s)
-    return C3Config(
-        reconcile_interval_s=reconcile_interval_s,
+    return replace(
+        base, reconcile_interval_s=reconcile_interval_s,
         metrics_window_s=window_s,
-        latency_half_life_s=base.latency_half_life_s * factor,
-        queue_half_life_s=base.queue_half_life_s * factor,
-    )
+        **{name: getattr(base, name) * factor for name in time_constants})
 
 
 def weight_points(weights: dict[str, int]) -> dict[str, float]:

@@ -142,6 +142,12 @@ class LiveProxy(ProxyPolicy):
             self.timeouts += 1
         except (OSError, MeshError, asyncio.IncompleteReadError):
             pass
+        except asyncio.CancelledError:
+            # Cancelled from outside (the harness drops requests still
+            # pending after its drain): no response to count, but the
+            # request is no longer in flight.
+            telemetry.inflight.dec()
+            raise
 
         now = self.clock()
         telemetry.on_response(now - start, success)

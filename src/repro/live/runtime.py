@@ -6,9 +6,9 @@ Boots N "clusters" as asyncio HTTP replica servers on localhost ports
 open-loop load through a client-side weighted proxy, exposes the proxy's
 telemetry on a Prometheus text ``/metrics`` endpoint, scrapes it over
 HTTP into the existing :class:`~repro.telemetry.timeseries.TimeSeriesStore`,
-and runs the simulator's own :class:`~repro.balancers.l3.L3Balancer`
-(or C3, or plain round-robin) on a :class:`~repro.live.clock.WallClock`
-against it for a wall-clock duration — one control plane, two substrates.
+and runs the simulator's own L3 (or C3, or round-robin) balancer on a
+:class:`~repro.live.clock.WallClock` against it for a wall-clock
+duration — one control plane, two substrates.
 
 The run returns the same :class:`~repro.bench.coordinator.BenchmarkResult`
 the simulation coordinator emits, so every report/analysis path works on
@@ -31,8 +31,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.analysis.percentiles import Percentiles
 from repro.balancers.base import Balancer
-from repro.balancers.c3 import C3Balancer, C3Controller
-from repro.balancers.l3 import L3Balancer
+from repro.balancers.c3 import C3Controller
 from repro.balancers.periodic import PeriodicSplitBalancer
 from repro.balancers.round_robin import RoundRobinBalancer
 from repro.bench.coordinator import SCENARIO_SERVICE, BenchmarkResult
@@ -40,7 +39,11 @@ from repro.core.controller import L3Controller
 from repro.core.leader import ControllerReplica, LeaseLock
 from repro.errors import FaultSpecError
 from repro.faults.base import Fault
-from repro.faults.spec import parse_fault_spec, validate_fault_spec
+from repro.faults.spec import (
+    check_controller_faults,
+    parse_fault_spec,
+    validate_fault_spec,
+)
 from repro.live.chaos import LiveFaultInjector, LiveLinkShaper
 from repro.live.clock import WallClock, precise_event_loop
 from repro.live.exposition import render_exposition
@@ -102,13 +105,13 @@ class LiveHarness:
 
         Spec strings and pre-built fault lists both go through
         :func:`~repro.faults.spec.validate_fault_spec` with the
-        scenario's clusters and the harness's service, plus the live
-        substrate's own constraints — controller-crash needs HA mode
-        and an existing replica index, and each live backend has
-        exactly one (process-level) replica — so a schedule that cannot
-        run fails before a single port is bound.
+        scenario's clusters and the harness's service, then
+        :func:`~repro.faults.spec.check_controller_faults` with this
+        run's HA replica count, plus the live substrate's own constraint
+        — each live backend has exactly one (process-level) replica — so
+        a schedule that cannot run fails before a single port is bound.
         """
-        from repro.faults.faults import ControllerCrash, ControllerPause
+        from repro.faults.faults import ControllerCrash
 
         config = self.config
         if config.faults is None:
@@ -122,22 +125,11 @@ class LiveHarness:
             faults = list(config.faults)
             validate_fault_spec(faults, clusters=clusters,
                                 services=services)
+        check_controller_faults(
+            faults, config.algorithm,
+            has_controller=config.algorithm != "round-robin",
+            ha_replicas=config.ha_replicas)
         for fault in faults:
-            if isinstance(fault, (ControllerCrash, ControllerPause)) \
-                    and config.algorithm == "round-robin":
-                raise FaultSpecError(
-                    f"fault spec: {fault} targets the controller, but "
-                    f"round-robin runs without one")
-            if isinstance(fault, ControllerCrash):
-                if config.ha_replicas < 2:
-                    raise FaultSpecError(
-                        f"fault spec: {fault} needs HA mode "
-                        f"(ha_replicas > 1); got {config.ha_replicas}")
-                if fault.replica_index >= config.ha_replicas:
-                    raise FaultSpecError(
-                        f"fault spec: {fault} names replica "
-                        f"{fault.replica_index}, but only "
-                        f"{config.ha_replicas} run")
             index = getattr(fault, "replica_index", None)
             if not isinstance(fault, ControllerCrash) and index:
                 raise FaultSpecError(
@@ -175,21 +167,24 @@ class LiveHarness:
             return RoundRobinBalancer(backend_names)
         source = PromMetricsSource(store, scope=config.client_cluster)
         if config.algorithm == "c3":
-            make, standby = C3Balancer, C3Controller
+            controller_type = C3Controller
             controller_config = live_c3_config(config.reconcile_interval_s,
                                                config.scrape_interval_s)
         else:
-            make, standby = L3Balancer, L3Controller
+            controller_type = L3Controller
             controller_config = replace(
                 live_l3_config(config.reconcile_interval_s,
                                base=config.l3_config,
                                scrape_interval_s=config.scrape_interval_s),
                 use_peak_ewma=(config.algorithm == "l3-peak"))
-        balancer = make(self.clock, SCENARIO_SERVICE, backend_names, source,
-                        config=controller_config, propagation_delay_s=0.0)
+        balancer = PeriodicSplitBalancer(
+            self.clock, SCENARIO_SERVICE, backend_names, source,
+            controller_type, config=controller_config,
+            propagation_delay_s=0.0)
         self.parts.controllers = [balancer.controller] + [
-            standby(list(backend_names), source, balancer.split,
-                    config=balancer.config, start_time=self.clock.now)
+            controller_type(list(backend_names), source, balancer.split,
+                            config=balancer.config,
+                            start_time=self.clock.now)
             for _ in range(config.ha_replicas - 1)]
         if config.ha_replicas > 1:
             lease = LeaseLock(ttl_s=config.lease_ttl_s, clock=self.clock)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 
+from repro.core.controller import validate_backend_pool
 from repro.errors import ConfigError, MeshError
 from repro.sim.engine import Simulator
 
@@ -32,11 +33,7 @@ class TrafficSplit:
             propagation_delay_s: control-plane push latency before new
                 weights reach the data plane.
         """
-        names = list(backend_names)
-        if not names:
-            raise ConfigError("TrafficSplit needs at least one backend")
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate backends: {names}")
+        names = validate_backend_pool(backend_names, "TrafficSplit")
         if propagation_delay_s < 0:
             raise ConfigError(
                 f"propagation delay must be >= 0: {propagation_delay_s}")

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.balancers.c3 import C3Balancer, C3Config, C3Controller, c3_score
+from repro.balancers.c3 import C3Config, C3Controller, c3_score
+from repro.balancers.periodic import PeriodicSplitBalancer
 from repro.core.controller import MetricSample
 from repro.errors import ConfigError
 
@@ -147,8 +148,9 @@ class TestC3Balancer:
             "svc/c1": MetricSample(0.2, 1.0, 100.0, 1.0, mean_latency_s=0.05),
             "svc/c2": MetricSample(0.9, 1.0, 100.0, 1.0, mean_latency_s=0.50),
         }
-        balancer = C3Balancer(sim, "svc", ["svc/c1", "svc/c2"], source,
-                              propagation_delay_s=0.0)
+        balancer = PeriodicSplitBalancer(
+            sim, "svc", ["svc/c1", "svc/c2"], source, C3Controller,
+            propagation_delay_s=0.0)
         balancer.start(sim)
         sim.run(until=60.0)
         balancer.stop()

@@ -1,14 +1,14 @@
-"""Tests for the L3 balancer wrapper and the balancer factory."""
+"""Tests for the periodic-split balancer over L3 and the balancer factory."""
 
 import pytest
 
-from repro.balancers.c3 import C3Balancer
+from repro.balancers.c3 import C3Controller
 from repro.balancers.factory import BALANCER_NAMES, make_balancer
-from repro.balancers.l3 import L3Balancer
 from repro.balancers.p2c import P2cPeakEwmaBalancer
 from repro.balancers.round_robin import RoundRobinBalancer
 from repro.core.config import L3Config
-from repro.core.controller import MetricSample
+from repro.balancers.periodic import PeriodicSplitBalancer
+from repro.core.controller import L3Controller, MetricSample
 from repro.core.ewma import PeakEwma
 from repro.errors import ConfigError
 
@@ -27,14 +27,18 @@ class FakeSource:
 BACKENDS = ["svc/c1", "svc/c2"]
 
 
+def l3_balancer(sim, source, **kwargs):
+    return PeriodicSplitBalancer(sim, "svc", BACKENDS, source, L3Controller,
+                                 **kwargs)
+
+
 class TestL3Balancer:
     def test_control_loop_adjusts_split(self, sim):
         source = FakeSource({
             "svc/c1": MetricSample(0.05, 1.0, 100.0, 1.0),
             "svc/c2": MetricSample(0.50, 1.0, 100.0, 1.0),
         })
-        balancer = L3Balancer(sim, "svc", BACKENDS, source,
-                              propagation_delay_s=0.0)
+        balancer = l3_balancer(sim, source, propagation_delay_s=0.0)
         balancer.start(sim)
         sim.run(until=61.0)
         balancer.stop()
@@ -43,7 +47,7 @@ class TestL3Balancer:
         assert weights["svc/c1"] > weights["svc/c2"]
 
     def test_start_twice_is_idempotent(self, sim):
-        balancer = L3Balancer(sim, "svc", BACKENDS, FakeSource())
+        balancer = l3_balancer(sim, FakeSource())
         balancer.start(sim)
         loop = balancer._loop
         balancer.start(sim)
@@ -51,10 +55,10 @@ class TestL3Balancer:
         balancer.stop()
 
     def test_stop_without_start(self, sim):
-        L3Balancer(sim, "svc", BACKENDS, FakeSource()).stop()
+        l3_balancer(sim, FakeSource()).stop()
 
     def test_pick_uses_split(self, sim, rng):
-        balancer = L3Balancer(sim, "svc", BACKENDS, FakeSource())
+        balancer = l3_balancer(sim, FakeSource())
         assert balancer.pick(rng, 0.0) in BACKENDS
 
 
@@ -71,9 +75,11 @@ class TestFactory:
             make_balancer("round-robin", sim, "svc", BACKENDS, source),
             RoundRobinBalancer)
         assert isinstance(
-            make_balancer("c3", sim, "svc", BACKENDS, source), C3Balancer)
+            make_balancer("c3", sim, "svc", BACKENDS, source).controller,
+            C3Controller)
         assert isinstance(
-            make_balancer("l3", sim, "svc", BACKENDS, source), L3Balancer)
+            make_balancer("l3", sim, "svc", BACKENDS, source).controller,
+            L3Controller)
         assert isinstance(
             make_balancer("p2c", sim, "svc", BACKENDS, source),
             P2cPeakEwmaBalancer)

@@ -3,16 +3,16 @@
 import pytest
 
 from repro.balancers import (
-    C3Balancer,
+    C3Controller,
     EwmaLatencyBalancer,
     FailoverBalancer,
     GradientDescentBalancer,
-    KnapsackLbBalancer,
-    L3Balancer,
+    KnapsackLbController,
     LeastOutstandingBalancer,
     P2cPeakEwmaBalancer,
+    PeriodicSplitBalancer,
     RoundRobinBalancer,
-    ServiceRateAwareBalancer,
+    ServiceRateController,
 )
 from repro.balancers.factory import (
     BALANCER_NAMES,
@@ -22,28 +22,56 @@ from repro.balancers.factory import (
     register_balancer,
 )
 from repro.bench.coordinator import ScenarioBenchConfig, run_scenario_benchmark
+from repro.core.controller import L3Controller, MetricSample
 from repro.errors import ConfigError
 
 BACKENDS = ["api/cluster-1", "api/cluster-2"]
 
 EXPECTED_CLASSES = {
     "round-robin": RoundRobinBalancer,
-    "c3": C3Balancer,
-    "l3": L3Balancer,
-    "l3-peak": L3Balancer,
+    "c3": PeriodicSplitBalancer,
+    "l3": PeriodicSplitBalancer,
+    "l3-peak": PeriodicSplitBalancer,
     "p2c": P2cPeakEwmaBalancer,
     "failover": FailoverBalancer,
     "least-outstanding": LeastOutstandingBalancer,
     "ewma": EwmaLatencyBalancer,
-    "knapsack": KnapsackLbBalancer,
+    "knapsack": PeriodicSplitBalancer,
     "gradient": GradientDescentBalancer,
-    "service-rate": ServiceRateAwareBalancer,
+    "service-rate": PeriodicSplitBalancer,
+}
+
+EXPECTED_CONTROLLERS = {
+    "c3": C3Controller,
+    "l3": L3Controller,
+    "l3-peak": L3Controller,
+    "knapsack": KnapsackLbController,
+    "service-rate": ServiceRateController,
 }
 
 
 class FakeSource:
     def collect(self, backend_names, now, window_s, percentile):
         return {name: None for name in backend_names}
+
+
+class OutageSource:
+    """Serves a fast and a slow backend until ``down`` is set."""
+
+    SAMPLES = {
+        "api/cluster-1": MetricSample(0.05, 1.0, 100.0, 1.0,
+                                      mean_latency_s=0.02),
+        "api/cluster-2": MetricSample(0.50, 1.0, 100.0, 8.0,
+                                      mean_latency_s=0.30),
+    }
+
+    def __init__(self):
+        self.down = False
+
+    def collect(self, backend_names, now, window_s, percentile):
+        if self.down:
+            raise ConnectionError("prometheus is down")
+        return {name: self.SAMPLES[name] for name in backend_names}
 
 
 class TestRegistry:
@@ -62,6 +90,9 @@ class TestRegistry:
                 name, sim, "api", BACKENDS, FakeSource(),
                 local_cluster="cluster-1")
             assert isinstance(balancer, expected), name
+            if name in EXPECTED_CONTROLLERS:
+                assert type(balancer.controller) is \
+                    EXPECTED_CONTROLLERS[name], name
 
     def test_unknown_name_lists_valid_set(self, sim):
         with pytest.raises(ConfigError, match="round-robin"):
@@ -119,3 +150,34 @@ def test_every_registered_name_runs_a_small_scenario(name):
         env=ScenarioBenchConfig(warmup_s=5.0, drain_s=2.0))
     assert result.algorithm == name
     assert result.records and result.success_rate > 0.0
+
+
+@pytest.mark.parametrize("name", controller_balancer_names())
+def test_failing_metrics_source_holds_the_last_weights(sim, name):
+    """Every controller runs the one reconcile loop, degraded mode
+    included: a metrics outage keeps the last-known-good weights."""
+    source = OutageSource()
+    balancer = make_balancer(name, sim, "api", BACKENDS, source,
+                             propagation_delay_s=0.0)
+    controller = balancer.controller
+    good = controller.reconcile(5.0)
+    assert controller.last_weights == good
+    pushed = balancer.split.weights
+    source.down = True
+    assert controller.reconcile(10.0) == good
+    assert controller.last_weights == good
+    assert controller.degraded_reconciles == 1
+    assert "ConnectionError" in controller.last_error
+    assert balancer.split.weights == pushed
+
+
+@pytest.mark.parametrize("name", controller_balancer_names())
+def test_loop_cadence_is_the_controller_config_interval(sim, name):
+    balancer = make_balancer(name, sim, "api", BACKENDS, FakeSource())
+    assert isinstance(balancer, PeriodicSplitBalancer)
+    interval_s = balancer.controller.config.reconcile_interval_s
+    balancer.start(sim)
+    sim.run(until=3 * interval_s + 0.5 * interval_s)
+    balancer.stop()
+    sim.run()
+    assert balancer.controller.reconcile_count == 3

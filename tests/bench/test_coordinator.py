@@ -13,7 +13,8 @@ from repro.bench.coordinator import (
     run_hotel_benchmark,
     run_scenario_benchmark,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, FaultSpecError
+from repro.faults.spec import parse_fault_spec
 from repro.mesh.ejection import OutlierEjectionConfig
 from repro.sim.engine import Simulator
 
@@ -83,6 +84,22 @@ class TestScenarioBenchmark:
         with pytest.raises(ConfigError):
             run_scenario_benchmark(
                 "scenario-1", "psychic", duration_s=10.0, env=ENV)
+
+    @pytest.mark.parametrize("algorithm, spec, match", [
+        ("round-robin", "controller-pause@5+5",
+         "round-robin runs without one"),
+        ("l3", "controller-crash@5+5", "HA mode"),
+    ], ids=["pause-without-controller", "crash-without-ha"])
+    def test_controller_fault_rejected_before_the_run(
+            self, monkeypatch, algorithm, spec, match):
+        def started(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(coordinator, "_build_world", started)
+        with pytest.raises(FaultSpecError, match=match):
+            run_scenario_benchmark(
+                "scenario-1", algorithm, duration_s=DURATION_S, seed=1,
+                env=ENV, faults=parse_fault_spec(spec))
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigError):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import L3Config
 from repro.core.controller import L3Controller, MetricSample
+from repro.errors import ConfigError
 
 
 class FakeSource:
@@ -43,29 +44,12 @@ def make_controller(source, sink, backends=("a", "b"), **config_kwargs):
 
 class TestConstruction:
     def test_requires_backends(self, source, sink):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             L3Controller([], source, sink)
 
     def test_rejects_duplicates(self, source, sink):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             L3Controller(["a", "a"], source, sink)
-
-    def test_add_and_remove_backend(self, source, sink):
-        controller = make_controller(source, sink)
-        controller.add_backend("c", now=1.0)
-        assert "c" in controller.backends
-        controller.remove_backend("c")
-        assert "c" not in controller.backends
-
-    def test_add_duplicate_rejected(self, source, sink):
-        controller = make_controller(source, sink)
-        with pytest.raises(ValueError):
-            controller.add_backend("a", now=1.0)
-
-    def test_cannot_remove_last_backend(self, source, sink):
-        controller = make_controller(source, sink, backends=("solo",))
-        with pytest.raises(ValueError):
-            controller.remove_backend("solo")
 
 
 class TestReconcile:

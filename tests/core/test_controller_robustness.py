@@ -227,9 +227,9 @@ class TestHostileHistogram:
 
 class TestPauseResume:
     def test_paused_loop_skips_reconciles(self, sim):
-        controller = make_controller(FlakySource(), FlakySink())
         balancer = PeriodicSplitBalancer(
-            sim, "svc", ["a", "b"], lambda split: controller)
+            sim, "svc", ["a", "b"], FlakySource(), L3Controller, L3Config())
+        controller = balancer.controller
         balancer.start(sim)
         sim.run(until=11.0)
         assert controller.reconcile_count == 2  # t = 5, 10
@@ -265,18 +265,6 @@ class TestWeightRounding:
         controller = make_controller(FlakySource(), FlakySink(),
                                      rate_control_enabled=False)
         assert controller.reconcile(5.0) == {"a": 1, "b": 900}
-
-
-class TestBackendRemoval:
-    def test_remove_backend_purges_weight_snapshots(self):
-        controller = make_controller(FlakySource(), FlakySink())
-        controller.reconcile(5.0)
-        assert "b" in controller.last_weights
-        assert "b" in controller.last_raw_weights
-        controller.remove_backend("b")
-        assert "b" not in controller.last_weights
-        assert "b" not in controller.last_raw_weights
-        assert "a" in controller.last_weights
 
 
 class TestStaleDecay:

@@ -7,7 +7,13 @@ from repro.errors import ConfigError
 from repro.live.clock import FakeClock
 
 
+# The cadence the tests' loops step their replicas at.
+STEP_INTERVAL_S = 5.0
+
+
 class CountingController:
+    paused = False
+
     def __init__(self):
         self.reconciles = []
 
@@ -144,20 +150,14 @@ class TestWallClockLease:
 
 
 class TestControllerReplica:
-    def test_interval_validation(self):
-        with pytest.raises(ConfigError):
-            ControllerReplica("r", CountingController(), LeaseLock(),
-                              interval_s=0.0)
-
     def test_only_leader_reconciles(self, sim):
         lease = LeaseLock(ttl_s=12.0)
         controllers = [CountingController() for _ in range(3)]
         replicas = [
-            ControllerReplica(f"replica-{i}", controller, lease,
-                              interval_s=5.0)
+            ControllerReplica(f"replica-{i}", controller, lease)
             for i, controller in enumerate(controllers)
         ]
-        loops = [sim.every(replica.interval_s, replica.step)
+        loops = [sim.every(STEP_INTERVAL_S, replica.step)
                  for replica in replicas]
         sim.run(until=60.0)
         for loop in loops:
@@ -171,11 +171,10 @@ class TestControllerReplica:
         lease = LeaseLock(ttl_s=12.0)
         controllers = [CountingController(), CountingController()]
         replicas = [
-            ControllerReplica(f"replica-{i}", controller, lease,
-                              interval_s=5.0)
+            ControllerReplica(f"replica-{i}", controller, lease)
             for i, controller in enumerate(controllers)
         ]
-        loops = [sim.every(replica.interval_s, replica.step)
+        loops = [sim.every(STEP_INTERVAL_S, replica.step)
                  for replica in replicas]
         # replica-0 wins the first election (tie broken by start order).
         sim.run(until=20.0)
@@ -195,9 +194,8 @@ class TestControllerReplica:
     def test_crashed_replica_can_recover_and_rejoin(self, sim):
         lease = LeaseLock(ttl_s=10.0)
         controller = CountingController()
-        replica = ControllerReplica("solo", controller, lease,
-                                    interval_s=5.0)
-        loop = sim.every(replica.interval_s, replica.step)
+        replica = ControllerReplica("solo", controller, lease)
+        loop = sim.every(STEP_INTERVAL_S, replica.step)
         sim.run(until=12.0)
         replica.crash()
         sim.run(until=30.0)
@@ -212,11 +210,10 @@ class TestControllerReplica:
         lease = LeaseLock(ttl_s=12.0)
         controllers = [CountingController(), CountingController()]
         replicas = [
-            ControllerReplica(f"replica-{i}", controller, lease,
-                              interval_s=5.0)
+            ControllerReplica(f"replica-{i}", controller, lease)
             for i, controller in enumerate(controllers)
         ]
-        loops = [sim.every(replica.interval_s, replica.step)
+        loops = [sim.every(STEP_INTERVAL_S, replica.step)
                  for replica in replicas]
         sim.run(until=20.0)
         leader_index = 0 if replicas[0].is_leader(20.0) else 1

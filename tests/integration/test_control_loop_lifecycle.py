@@ -6,7 +6,8 @@ import pytest
 
 from repro.autoscale import AutoscalePolicy, SimAutoscaleSet
 from repro.balancers.gradient import GradientConfig, GradientDescentBalancer
-from repro.balancers.l3 import L3Balancer
+from repro.balancers.periodic import PeriodicSplitBalancer
+from repro.core.controller import L3Controller
 from repro.mesh.mesh import ServiceMesh
 from repro.telemetry.query import PromMetricsSource
 from repro.telemetry.scraper import Scraper
@@ -23,7 +24,8 @@ class NoDataSource:
 
 
 def periodic_split(sim, rng_registry):
-    balancer = L3Balancer(sim, "svc", BACKENDS, NoDataSource())
+    balancer = PeriodicSplitBalancer(sim, "svc", BACKENDS, NoDataSource(),
+                                     L3Controller)
     return (balancer.start, balancer.stop,
             lambda: balancer.controller.reconcile_count)
 

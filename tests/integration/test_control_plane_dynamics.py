@@ -6,8 +6,9 @@ These pin down the §4 behaviours that only show up when the whole loop
 
 import pytest
 
-from repro.balancers.l3 import L3Balancer
+from repro.balancers.periodic import PeriodicSplitBalancer
 from repro.core.config import L3Config
+from repro.core.controller import L3Controller
 from repro.mesh.mesh import ServiceMesh
 from repro.mesh.network import WanLink
 from repro.sim.engine import Simulator
@@ -37,9 +38,10 @@ def build_world(seed=3, propagation_delay_s=0.5, profiles=None):
     store = TimeSeriesStore()
     scraper = Scraper(store, interval_s=5.0)
     source = PromMetricsSource(store, scope="cluster-1")
-    balancer = L3Balancer(
+    balancer = PeriodicSplitBalancer(
         sim, "api", mesh.deployment("api").backend_names(), source,
-        config=L3Config(), propagation_delay_s=propagation_delay_s)
+        L3Controller, config=L3Config(),
+        propagation_delay_s=propagation_delay_s)
     proxy = mesh.client_proxy("cluster-1", "api", balancer)
     mesh.register_all_telemetry(scraper)
     sim.every(scraper.interval_s, scraper.tick)

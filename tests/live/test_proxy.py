@@ -202,6 +202,31 @@ class TestTimeouts:
 
         assert asyncio.run(scenario()).timeouts == 0
 
+    def test_external_cancel_releases_the_inflight_gauge(self):
+        # The harness cancels requests still pending after its drain; a
+        # cancelled attempt is neither in flight nor a response.
+        async def scenario():
+            started = asyncio.Event()
+
+            async def transport(host, port):
+                started.set()
+                await asyncio.sleep(60)
+                return True
+
+            proxy, _ = make_proxy([])
+            proxy.transport = transport
+            task = asyncio.ensure_future(proxy.dispatch())
+            await started.wait()
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            return proxy
+
+        proxy = asyncio.run(scenario())
+        for telemetry in proxy.telemetry.values():
+            assert telemetry.inflight.value == 0.0
+            assert telemetry.requests_total.value == 0.0
+
     def test_validation(self):
         with pytest.raises(MeshError):
             make_proxy([], request_timeout_s=0.0)

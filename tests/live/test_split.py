@@ -11,7 +11,8 @@ from collections import Counter
 
 import pytest
 
-from repro.balancers.l3 import L3Balancer
+from repro.balancers.periodic import PeriodicSplitBalancer
+from repro.core.controller import L3Controller
 from repro.errors import ConfigError, MeshError
 from repro.live.clock import WallClock
 from repro.mesh.traffic_split import TrafficSplit
@@ -90,8 +91,9 @@ class TestPick:
 
     def test_matches_balancer_pick_shape(self):
         # The proxy is handed the balancer that owns the split.
-        balancer = L3Balancer(
+        balancer = PeriodicSplitBalancer(
             WallClock(), "api", ["a", "b", "c"],
-            PromMetricsSource(TimeSeriesStore()), propagation_delay_s=0.0)
+            PromMetricsSource(TimeSeriesStore()), L3Controller,
+            propagation_delay_s=0.0)
         balancer.split.set_weights({"a": 0, "b": 4, "c": 0}, now=0.0)
         assert balancer.pick(random.Random(1), 5.0) == "b"

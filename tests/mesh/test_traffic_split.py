@@ -125,29 +125,6 @@ class TestDynamicBackends:
         with pytest.raises(MeshError):
             split.remove_backend("only")
 
-    def test_controller_and_split_track_together(self, sim, rng):
-        """§4 lifecycle: a backend added at runtime starts getting weights."""
-        from repro.core.config import L3Config
-        from repro.core.controller import L3Controller, MetricSample
-
-        split = TrafficSplit(sim, "svc", ["a", "b"],
-                             propagation_delay_s=0.0)
-
-        class Source:
-            def collect(self, names, now, window_s, percentile):
-                return {
-                    name: MetricSample(0.05, 1.0, 50.0, 1.0)
-                    for name in names
-                }
-
-        controller = L3Controller(["a", "b"], Source(), split, L3Config())
-        controller.reconcile(5.0)
-        split.add_backend("c")
-        controller.add_backend("c", now=5.0)
-        controller.reconcile(10.0)
-        assert "c" in controller.last_weights
-        assert split.weights["c"] >= 1
-
 
 class TestGenerationGuard:
     def test_older_push_never_overwrites_newer(self, sim):

@@ -16,9 +16,10 @@ import pytest
 from repro.balancers.estimate import LoadCostModel
 from repro.balancers.ewma_latency import EwmaLatencyBalancer
 from repro.balancers.gradient import GradientConfig, GradientDescentBalancer
-from repro.balancers.knapsack import KnapsackLbBalancer
+from repro.balancers.knapsack import KnapsackLbController
 from repro.balancers.least_outstanding import LeastOutstandingBalancer
-from repro.balancers.service_rate import ServiceRateAwareBalancer
+from repro.balancers.periodic import PeriodicSplitBalancer
+from repro.balancers.service_rate import ServiceRateController
 from repro.sim.engine import Simulator
 
 # Chi-square critical values at alpha = 0.001 by degrees of freedom.
@@ -122,11 +123,12 @@ class TestKnapsackFrequencies:
         sim = Simulator()
         names = ["flat", "steep"]
         source = FakeSource({name: Sample(rps=50.0) for name in names})
-        balancer = KnapsackLbBalancer(
-            sim, "api", names, source, propagation_delay_s=0.0)
+        balancer = PeriodicSplitBalancer(
+            sim, "api", names, source, KnapsackLbController,
+            propagation_delay_s=0.0)
         slopes = {"flat": 0.001, "steep": 0.003}
         for name in names:
-            model = balancer.controller.models[name]
+            model = balancer.controller.backends[name]
             for load in (0.0, 40.0, 80.0):
                 model.observe(load, 0.020 + slopes[name] * load)
         weights = balancer.controller.reconcile(now=0.0)
@@ -147,8 +149,9 @@ class TestServiceRateFrequencies:
             name: Sample(rps=50.0, mean_latency_s=service_times[name])
             for name in names
         })
-        balancer = ServiceRateAwareBalancer(
-            sim, "api", names, source, propagation_delay_s=0.0)
+        balancer = PeriodicSplitBalancer(
+            sim, "api", names, source, ServiceRateController,
+            propagation_delay_s=0.0)
         weights = balancer.controller.reconcile(now=0.0)
         total = sum(weights.values())
         expected = {name: weights[name] / total for name in names}

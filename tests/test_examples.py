@@ -6,6 +6,8 @@ and are exercised through their underlying APIs elsewhere; here we run the
 parameterisable ones at small scale.
 """
 
+import ast
+import importlib
 import pathlib
 import subprocess
 import sys
@@ -77,12 +79,39 @@ class TestExamples:
         assert lines
 
 
-@pytest.mark.parametrize("name", [
+EXAMPLE_NAMES = [
     "quickstart.py", "hotel_reservation.py", "failure_injection.py",
     "custom_mesh.py", "autoscaling.py", "cost_aware.py",
     "social_network.py", "live_demo.py", "tournament_demo.py",
-])
+]
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_example_compiles(name):
     """Every example at least byte-compiles (including the slow ones)."""
     source = (EXAMPLES / name).read_text(encoding="utf-8")
     compile(source, name, "exec")
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_example_imports_resolve(name):
+    """Every ``repro`` name an example imports exists — the slow demos
+    only compile above, so a renamed or deleted class shows up here."""
+    tree = ast.parse((EXAMPLES / name).read_text(encoding="utf-8"))
+    imported = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    importlib.import_module(alias.name)
+                    imported += 1
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "repro"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                try:
+                    getattr(module, alias.name)
+                except AttributeError:
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                imported += 1
+    assert imported, name

@@ -29,8 +29,7 @@ OPTIONAL_MODULES = ("repro.tracing.export", "repro.analysis.critical_path",
 # The registry and the paper's algorithm; every other balancer loads
 # when it is built.
 DEFAULT_BALANCERS = ("repro.balancers", "repro.balancers.base",
-                     "repro.balancers.factory", "repro.balancers.periodic",
-                     "repro.balancers.l3")
+                     "repro.balancers.factory", "repro.balancers.periodic")
 LIVE_SOCKET_MODULES = tuple(
     f"repro.live.{name}" for name in (
         "server", "proxy", "scrape", "loadgen", "exposition", "httpwire",
