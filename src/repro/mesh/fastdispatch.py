@@ -5,32 +5,44 @@ One simulated request is a :class:`_RequestMachine` started by
 forwarding overhead → (per attempt) a :class:`_Flight` across the WAN to
 a replica and back → telemetry, retry/back-off, outlier ejection → one
 :class:`~repro.mesh.request.RequestRecord` handed to the caller's
-``done`` callback. Every hop is one pooled callback event
-(:class:`~repro.sim.events.EventPool`); machines and unraced flights are
-recycled through free lists held by their proxy. Plain scenario traffic
-and call-graph applications (hotel, social) run on the same machines —
-a call-graph hop is a dispatch whose flight runs a *body* on the replica.
+``done`` callback. Every hop that lets time pass is one pooled
+callback event (:class:`~repro.sim.events.EventPool`); machines and
+flights are recycled through free lists held by their proxy. Plain
+scenario traffic and call-graph applications (hotel, social) run on the
+same machines — a call-graph hop is a dispatch whose flight runs a
+*body* on the replica.
 
 **Event order is the contract.** The simulator breaks time ties by
 agenda insertion order, and the golden digest and the pinned digests in
 ``tests/bench/test_determinism.py`` demand byte-identical records,
-weights and OTLP exports per seed. So the agenda insertions below are
-fixed, including the delay-0 hops that look redundant:
+weights and OTLP exports per seed. A hop is an agenda entry only when
+simulated time passes or another request wakes this one; a continuation
+at the same instant runs inside the callback that caused it:
 
-* ``dispatch()`` schedules the machine start at delay 0 (a request
-  begins one agenda hop after it is submitted);
-* a free replica slot is granted synchronously (``try_acquire``) but
-  execution starts one delay-0 hop later; a queued request parks an
-  unscheduled pooled gate in the server's FIFO, fired by ``release``;
-* with a per-attempt deadline the flight begins one delay-0 hop after
-  the deadline race is armed, and its completion reaches the machine
-  through two delay-0 hops (completion → race decided → resume); the
-  deadline takes the second of those too, the first to arrive wins and
-  the loser's hop is a no-op. A flight abandoned by its deadline keeps
-  running against the replica and reports to nobody;
+* ``dispatch()`` starts the machine within the call (balancer pick,
+  telemetry, forwarding overhead scheduled);
+* a free replica slot is granted synchronously (``try_acquire``) and
+  execution starts within the same callback; a queued request parks an
+  unscheduled pooled gate in the server's FIFO, fired by ``release``
+  (that wake-up is an agenda entry);
+* with a per-attempt deadline the deadline is armed first, then the
+  flight begins within the same callback (so the deadline precedes the
+  WAN leg in insertion order). Whichever of the flight's return and the
+  deadline fires first resumes the machine inline. A returning flight
+  disarms the deadline in place (the entry stays on the agenda and
+  fires as nothing); a flight abandoned by its deadline keeps running
+  against the replica, holding its slot, and reports to nobody;
 * a request that reaches a blackholed replica parks on an unscheduled
   gate in ``Replica._blackhole_gates`` until ``Replica.restart``; a
   partitioned WAN leg parks forever.
+
+What stays an agenda entry: forwarding overhead, WAN legs, service
+time, retry back-off, the deadline, the ``Server.release`` wake-up and
+the blackhole restart gates. Inlining can reorder work only against an
+entry already due at the exact same float instant, which only
+deterministic-time events produce (periodic ticks, fault edges,
+arrivals): a request dispatched at the instant of an earlier-armed
+periodic tick is sent before that tick runs.
 
 RNG draws (balancer pick, WAN jitter, failure/service sampling) happen
 inside these callbacks at these simulation times, so every private
@@ -52,8 +64,12 @@ import math
 from repro.mesh.request import RequestRecord
 from repro.tracing import model as trace_model
 
-# Bound on each per-proxy free list (machines, unraced flights).
+# Bound on each per-proxy free list (machines, flights).
 _MAX_FREE = 512
+
+
+def _disarmed() -> None:
+    """What a deadline beaten by its flight runs when it comes due."""
 
 
 class _RequestMachine:
@@ -74,7 +90,7 @@ class _RequestMachine:
         "ctx", "root_span", "attempt_ctx", "attempt_span", "backoff_span",
         "attempt_start", "backend_name", "backend", "target_cluster",
         "telemetry",
-        "_start_cb", "_after_overhead_cb", "_retry_cb", "_retry_traced_cb",
+        "_after_overhead_cb", "_retry_cb", "_retry_traced_cb",
     )
 
     def __init__(self, proxy):
@@ -83,7 +99,6 @@ class _RequestMachine:
         self.sched = proxy._sched
         # Pre-bound hot-path methods: one call frame per hop instead of
         # an attribute walk.
-        self._start_cb = self._start
         self._after_overhead_cb = self._after_overhead
         self._retry_cb = self._begin_attempt
         self._retry_traced_cb = self._retry_traced
@@ -187,44 +202,36 @@ class _RequestMachine:
         them); the attempt span's "timeout" status is the record.
         """
         proxy = self.proxy
-        if proxy.request_timeout_s is None:
-            self._flight(raced=False)._begin()
+        timeout = proxy.request_timeout_s
+        if timeout is None:
+            self._flight()._begin()
             return
-        remaining = proxy.request_timeout_s - (
-            self.sim.now - self.attempt_start)
+        remaining = timeout - (self.sim.now - self.attempt_start)
         if remaining <= 0:
             proxy.timeouts += 1
             self._attempt_end(False, True)
             return
-        flight = self._flight(raced=True)
-        sched = self.sched
-        sched(0.0, flight._begin_cb)
-        sched(remaining, flight._deadline_cb)
+        flight = self._flight()
+        # Armed before the flight begins, so the deadline precedes the
+        # WAN leg in insertion order.
+        flight.deadline = self.sched(remaining, flight._deadline_cb)
+        flight._begin()
 
-    def _flight(self, raced: bool) -> "_Flight":
-        """A flight for the current attempt.
+    def _flight(self) -> "_Flight":
+        """A pooled flight for the current attempt.
 
-        Raced flights (deadline configured) can outlive both the attempt
-        and the machine — their deadline and completion hops may fire
-        after the machine moved on — so they are never pooled; the
-        unraced common case reuses the proxy's pooled flights.
+        No further resets needed: flights come back from ``_recycle()``
+        with span/replica references cleared and no deadline armed, and
+        success/holding_slot are written by every path that later reads
+        them.
         """
         flights = self.proxy._flights
-        if raced or not flights:
-            flight = _Flight(self.proxy)
-        else:
-            flight = flights.pop()
+        flight = flights.pop() if flights else _Flight(self.proxy)
         flight.machine = self
         flight.backend = self.backend
         flight.target_cluster = self.target_cluster
         flight.ctx = self.attempt_ctx
         flight.body_factory = self.body_factory
-        flight.raced = raced
-        # No further resets needed: pooled flights come back from
-        # _recycle() with span/replica references cleared, raced
-        # flights are always fresh (anyof/call flags start False from
-        # __init__), and success/holding_slot are written by every path
-        # that later reads them.
         return flight
 
     # -- attempt epilogue / retry loop --------------------------------- #
@@ -314,16 +321,21 @@ class _Flight:
     would. The ``server.queue`` / ``server.exec`` spans are the
     queue-vs-execution split the critical-path report needs to tell
     saturation from slowness.
+
+    With a per-attempt deadline, ``deadline`` holds the armed agenda
+    entry until the race is decided, and ``machine`` is dropped when the
+    deadline wins: the abandoned flight runs on and recycles itself when
+    it returns.
     """
 
     __slots__ = (
         "sim", "proxy", "sched", "gate", "net_delay",
         "machine", "backend", "target_cluster", "ctx", "body_factory",
-        "replica", "raced", "anyof_triggered", "call_processed", "success",
+        "replica", "deadline", "success",
         "holding_slot", "wan_span", "queue_span", "exec_span",
-        "_begin_cb", "_arrived_cb", "_acquired_cb", "_exec_ok_cb",
+        "_arrived_cb", "_acquired_cb", "_exec_ok_cb",
         "_exec_failed_cb", "_down_done_cb", "_returned_cb",
-        "_deadline_cb", "_completion_cb", "_anyof_cb", "_body_done_cb",
+        "_deadline_cb", "_body_done_cb",
     )
 
     def __init__(self, proxy):
@@ -338,15 +350,12 @@ class _Flight:
         self.ctx = None
         self.body_factory = None
         self.replica = None
-        self.raced = False
-        self.anyof_triggered = False
-        self.call_processed = False
+        self.deadline = None
         self.success = False
         self.holding_slot = False
         self.wan_span = None
         self.queue_span = None
         self.exec_span = None
-        self._begin_cb = self._begin
         self._arrived_cb = self._arrived
         self._acquired_cb = self._acquired
         self._exec_ok_cb = self._exec_ok
@@ -354,13 +363,10 @@ class _Flight:
         self._down_done_cb = self._down_done
         self._returned_cb = self._returned
         self._deadline_cb = self._deadline
-        self._completion_cb = self._completion
-        self._anyof_cb = self._anyof
         self._body_done_cb = self._body_done
 
     def _recycle(self) -> None:
-        # Only unraced flights come back (see _RequestMachine._flight);
-        # drop references so a pooled flight cannot keep a finished
+        # Drop references so a pooled flight cannot keep a finished
         # request alive.
         self.machine = None
         self.backend = None
@@ -421,7 +427,7 @@ class _Flight:
                 attributes={"replica": replica.name})
         server = replica.server
         if server.try_acquire():
-            self.sched(0.0, self._acquired_cb)
+            self._acquired()
         else:
             server.enqueue_waiter(self.gate(self._acquired_cb))
 
@@ -541,41 +547,26 @@ class _Flight:
         if self.wan_span is not None:
             self.ctx.end(self.wan_span, self.sim.now)
             self.wan_span = None
-        if not self.raced:
-            machine = self.machine
-            success = self.success
-            self._recycle()
+        machine = self.machine
+        deadline = self.deadline
+        if deadline is not None:
+            # Beat the deadline: disarm it in place. The entry stays on
+            # the agenda and fires as nothing.
+            deadline.fn = _disarmed
+            self.deadline = None
+        success = self.success
+        self._recycle()
+        if machine is not None:
             machine._attempt_end(success, False)
-            return
-        self.sched(0.0, self._completion_cb)
-
-    # -- deadline race -------------------------------------------------- #
-
-    def _completion(self) -> None:
-        """The flight is back: decides the race unless the deadline did."""
-        self.call_processed = True
-        if not self.anyof_triggered:
-            self.anyof_triggered = True
-            self.sched(0.0, self._anyof_cb)
 
     def _deadline(self) -> None:
-        """The deadline passed: decides the race unless the flight did."""
-        if not self.anyof_triggered:
-            self.anyof_triggered = True
-            self.sched(0.0, self._anyof_cb)
+        """The deadline passed first: the attempt fails as a timeout.
 
-    def _anyof(self) -> None:
-        """Resume the machine with the race outcome.
-
-        Runs exactly once per raced attempt. If the completion hop has
-        been processed the attempt succeeded/failed on its own; otherwise
-        the deadline won and the flight is abandoned — it keeps running
+        The flight is abandoned, not cancelled — it keeps running
         (occupying the replica) but reports to nobody.
         """
+        self.deadline = None
         machine = self.machine
         self.machine = None
-        if self.call_processed:
-            machine._attempt_end(self.success, False)
-        else:
-            machine.proxy.timeouts += 1
-            machine._attempt_end(False, True)
+        machine.proxy.timeouts += 1
+        machine._attempt_end(False, True)

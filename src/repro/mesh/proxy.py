@@ -160,8 +160,9 @@ class ClientProxy(ProxyPolicy):
                  body_factory=None) -> None:
         """Start one request; ``done(record)`` fires when it completes.
 
-        The request begins at the current simulation time, one agenda
-        hop after this call; its lifecycle is the state machine of
+        The request begins within this call, at the current simulation
+        time: the balancer pick and the send are made before it returns.
+        Its lifecycle is the state machine of
         :mod:`repro.mesh.fastdispatch`.
 
         Args:
@@ -175,27 +176,12 @@ class ClientProxy(ProxyPolicy):
                 ``resume(ok)`` once (call-graph applications use this to
                 make downstream calls from the backend's own cluster).
         """
-        # _machine() inlined — this runs once per request.
         machines = self._machines
         machine = machines.pop() if machines else _RequestMachine(self)
         machine.intended_start_s = intended_start_s
         machine.done = done
         machine.body_factory = body_factory
-        self._sched(0.0, machine._start_cb)
-
-    def _machine(self, intended_start_s: float, done, body_factory):
-        """A request machine ready to ``_start()`` (pooled when possible).
-
-        For callers that already own the current agenda hop — call-graph
-        bodies start their downstream requests with ``_start()`` directly
-        instead of going through :meth:`dispatch`'s extra hop.
-        """
-        machines = self._machines
-        machine = machines.pop() if machines else _RequestMachine(self)
-        machine.intended_start_s = intended_start_s
-        machine.done = done
-        machine.body_factory = body_factory
-        return machine
+        machine._start()
 
     def _resolve(self, backend_name: str) -> tuple:
         """``(Backend, target_cluster, telemetry)`` for a pick, cached.

@@ -35,7 +35,10 @@ class Event:
       and fires exactly once — the pool never recycles an event that is
       still on the agenda;
     * holders must drop their reference once the event has fired; the
-      recycled object may already be serving an unrelated hop.
+      recycled object may already be serving an unrelated hop;
+    * a holder may disarm a scheduled event by pointing ``fn`` at a
+      no-op and dropping its reference: the entry stays on the agenda
+      and fires as nothing (a request deadline beaten by its flight).
     """
 
     __slots__ = ("fn", "_pool", "_triggered")

@@ -131,7 +131,6 @@ class CallGraphApp:
         self.root_service = root_service
         self.client_cluster = client_cluster
         self.rng = rng
-        self._sched = mesh.sim.pool.schedule
         self._endpoint_total = sum(e.weight for e in self.endpoints)
         self._balancer_factory = balancer_factory
         self._shared_balancers: dict[str, object] = {}
@@ -211,32 +210,21 @@ class CallGraphApp:
         """Run one request of the weighted endpoint mix end to end.
 
         ``done(record)`` fires with the root service's record. The
-        request enters one agenda hop from now; the endpoint is drawn in
-        that hop.
+        endpoint is drawn and the root request sent within this call.
         """
-        self._sched(0.0, partial(self._enter, intended_start_s, done))
-
-    def _enter(self, intended_start_s: float, done) -> None:
         endpoint = self._pick_endpoint()
         self._call(self.root_service, self.client_cluster,
                    intended_start_s, done, stages=endpoint.stages)
 
     def _call(self, service: str, source_cluster: str,
-              intended_start_s: float, done, stages=None,
-              own_hop: bool = False) -> None:
-        """Invoke ``service`` from ``source_cluster`` through its proxy.
-
-        The request starts within the current agenda hop, or — for the
-        branches of a parallel fan-out — one hop later (``own_hop``).
-        """
+              intended_start_s: float, done, stages=None) -> None:
+        """Invoke ``service`` from ``source_cluster`` through its proxy;
+        the request starts within this call."""
         proxy = self._proxy(source_cluster, service)
         if stages is None:
             stages = self.services[service].stages
         body_factory = partial(_Body, self, stages) if stages else None
-        if own_hop:
-            proxy.dispatch(intended_start_s, done, body_factory)
-        else:
-            proxy._machine(intended_start_s, done, body_factory)._start()
+        proxy.dispatch(intended_start_s, done, body_factory)
 
 
 class _Body:
@@ -244,17 +232,17 @@ class _Body:
 
     Called by the request's flight as ``body(resume)`` once the replica's
     own compute time has elapsed; calls ``resume(ok)`` after the last
-    stage. Downstream requests are ordinary proxy dispatches; where they
-    enter the agenda is part of the determinism contract:
+    stage. Downstream requests are ordinary proxy dispatches, and every
+    stage transition runs inside the callback that caused it (part of
+    the determinism contract of :mod:`repro.mesh.fastdispatch`):
 
-    * a single-service :class:`ParallelCalls` and both legs of a
-      :class:`CachedRead` start within the hop that reached the stage,
-      and the next stage starts within the hop that completed them; the
-      cache-miss draw is taken when the cache leg completes;
-    * a multi-service :class:`ParallelCalls` starts each branch one
-      delay-0 hop later, in listed order; each branch's completion is
-      counted one delay-0 hop after its record arrives, and the stage
-      loop continues one further delay-0 hop after the last count.
+    * a stage's downstream requests start within the callback that
+      reached the stage — a :class:`ParallelCalls` fan-out sends its
+      branches in listed order, a :class:`CachedRead` its cache leg;
+    * the cache-miss draw is taken when the cache leg completes, and the
+      database leg starts then;
+    * a fan-out's branch is counted when its record arrives, and the
+      next stage starts within the callback that delivered the last one.
     """
 
     __slots__ = ("app", "stages", "cluster", "resume", "index", "ok",
@@ -287,8 +275,7 @@ class _Body:
             else:
                 self.pending = len(services)
                 for child in services:
-                    app._call(child, self.cluster, now, self._branch_done,
-                              own_hop=True)
+                    app._call(child, self.cluster, now, self._branch_done)
         elif isinstance(stage, CachedRead):
             self.stage = stage
             app._call(stage.cache, self.cluster, now, self._cache_done)
@@ -310,12 +297,9 @@ class _Body:
 
     def _branch_done(self, record) -> None:
         self.ok = self.ok and record.success
-        self.app._sched(0.0, self._branch_counted)
-
-    def _branch_counted(self) -> None:
         self.pending -= 1
         if self.pending == 0:
-            self.app._sched(0.0, self._next_stage)
+            self._next_stage()
 
 
 def deploy_callgraph_services(mesh, services: dict[str, ServiceSpec],

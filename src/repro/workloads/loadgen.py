@@ -68,8 +68,9 @@ class OpenLoopLoadGenerator:
         One run at a time per generator.
 
         Event order (fixed by the determinism digests): one delay-0 hop
-        before the first gap is drawn, then per arrival the request's
-        dispatch enters the agenda *before* the next arrival does.
+        before the first gap is drawn, then per arrival the request is
+        dispatched — started within the arrival's callback — *before*
+        the next arrival enters the agenda.
         """
         if duration_s <= 0:
             raise ConfigError(f"duration must be positive: {duration_s}")

@@ -135,6 +135,75 @@ class TestRequestDeadline:
         assert proxy.telemetry["api/cluster-1"].failures_total.value == 1
 
 
+class TestDeadlineRace:
+    """Raced flights are pooled; the race's loser costs nothing."""
+
+    def test_flight_beats_its_deadline(self, sim, mesh):
+        proxy = mesh.client_proxy("cluster-1", "api", to_cluster_1(),
+                                  request_timeout_s=0.5)
+        done = start(sim, proxy)
+        sim.run(until=0.4)
+        (record,) = done
+        assert record.success is True
+        assert proxy.timeouts == 0
+        # The stale deadline comes due at 0.5 and resumes nothing.
+        sim.run()
+        assert sim.now >= 0.5
+        assert done == [record]
+        assert proxy.timeouts == 0
+        assert proxy.telemetry["api/cluster-1"].requests_total.value == 1
+
+    def test_back_to_back_requests_reuse_one_flight(self, sim, mesh):
+        proxy = mesh.client_proxy("cluster-1", "api", to_cluster_1(),
+                                  request_timeout_s=0.5)
+        first = start(sim, proxy)
+        sim.run(until=0.49)
+        (flight,) = proxy._flights
+        # Dispatched before the first request's (disarmed) deadline at
+        # 0.5, still in flight when it comes due.
+        second = start(sim, proxy)
+        sim.run(until=0.495)  # past the forwarding overhead
+        assert proxy._flights == []
+        sim.run()
+        assert proxy._flights == [flight]
+        assert len(first) == 1 and first[0].success is True
+        assert len(second) == 1 and second[0].success is True
+        assert second[0].end_s > 0.5
+        assert proxy.timeouts == 0
+
+    def test_abandoned_flight_holds_its_slot_until_service_ends(
+            self, sim, mesh):
+        mesh.deploy_service("slow", profiles={
+            "cluster-1": constant_backend_profile(1.0, 1.0)}, replicas=1)
+        proxy = mesh.client_proxy(
+            "cluster-1", "slow", StaticWeightBalancer({"slow/cluster-1": 1.0}),
+            request_timeout_s=0.5)
+        server = mesh.deployment("slow").backend_in(
+            "cluster-1").replicas[0].server
+        done = start(sim, proxy)
+        sim.run(until=0.6)
+        (record,) = done
+        assert record.success is False
+        assert proxy.timeouts == 1
+        assert server.in_use == 1  # the abandoned flight still runs
+        assert proxy._flights == []
+        sim.run()
+        assert server.in_use == 0
+        assert len(proxy._flights) == 1
+        assert done == [record]
+
+    def test_partitioned_flight_never_returns_to_the_pool(self, sim, mesh):
+        mesh.network.partition("cluster-1", "cluster-2")
+        proxy = mesh.client_proxy(
+            "cluster-1", "api",
+            StaticWeightBalancer({"api/cluster-2": 1.0}),
+            request_timeout_s=0.5)
+        record = drive(sim, proxy)
+        assert record.success is False
+        assert proxy.timeouts == 1
+        assert proxy._flights == []
+
+
 class TestDeadlineWithRetries:
     def test_each_attempt_gets_its_own_deadline(self, sim, mesh):
         mesh.deployment("api").backend_in("cluster-1").crash("blackhole")
