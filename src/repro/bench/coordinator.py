@@ -25,6 +25,7 @@ from repro.analysis.percentiles import Percentiles
 from repro.analysis.stats import success_rate as _success_rate
 from repro.balancers.factory import controller_balancer_names, make_balancer
 from repro.core.config import L3Config
+from repro.env import MeshEnv
 from repro.errors import ConfigError
 from repro.faults.base import FaultInjector
 from repro.mesh.mesh import ServiceMesh
@@ -41,47 +42,18 @@ from repro.workloads.scenarios import Scenario, build_scenario
 SCENARIO_SERVICE = "api"
 
 
-@dataclass(frozen=True)
-class ScenarioBenchConfig:
-    """Environment knobs shared by all scenario benchmarks.
-
-    Defaults model the paper's test environment (§5.1): three clusters,
-    ~10 ms inter-cluster one-way delay, three replicas per cluster, the
-    benchmark client in cluster-1, scraping every 5 s.
-    """
+@dataclass(frozen=True, kw_only=True)
+class ScenarioBenchConfig(MeshEnv):
+    """The simulated mesh: :class:`~repro.env.MeshEnv` plus a warm-up and
+    the paper's topology (§5.1) — three replicas per cluster, ~10 ms
+    inter-cluster one-way delay."""
 
     warmup_s: float = 30.0
-    client_cluster: str = "cluster-1"
     replicas: int = 3
-    replica_capacity: int = 64
-    scrape_interval_s: float = 5.0
     wan_base_delay_s: float = 0.010
     propagation_delay_s: float = 0.5
-    drain_s: float = 30.0
-    # Client retries on failure (0 = the paper's no-retry benchmarks).
-    max_retries: int = 0
-    retry_backoff_s: float = 0.0
-    # Resilience knobs (both off = the paper's evaluated configuration).
-    # A per-attempt deadline is required to survive blackhole faults: a
-    # dead-silent backend otherwise hangs each request forever.
-    request_timeout_s: float | None = None
-    # Optional consecutive-failure circuit breaker
-    # (repro.mesh.ejection.OutlierEjectionConfig).
-    outlier_ejection: object | None = None
-    # Client arrival process: "uniform" (wrk2-style constant spacing, the
-    # paper's setup) or "poisson" (exponential inter-arrival gaps).
-    arrival: str = "uniform"
 
-    def __post_init__(self):
-        for name in ("warmup_s", "replica_capacity", "scrape_interval_s",
-                     "drain_s"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.replicas < 1:
-            raise ConfigError(f"replicas must be >= 1: {self.replicas}")
-        if self.request_timeout_s is not None and self.request_timeout_s <= 0:
-            raise ConfigError(
-                f"request timeout must be positive: {self.request_timeout_s}")
+    _FLOORS = MeshEnv._FLOORS + (("warmup_s", 0), ("replicas", 1))
 
 
 _DEFAULT_ENV = ScenarioBenchConfig()

@@ -20,10 +20,50 @@ from repro.balancers.factory import BALANCER_NAMES
 from repro.live.harness import LIVE_ALGORITHMS
 from repro.tournament.grid import TOURNAMENT_SCENARIO_NAMES
 from repro.tracing import TRACE_FORMATS
-from repro.workloads.scenarios import SCENARIO_NAMES
+from repro.workloads.scenarios import SCENARIO_NAMES, build_scenario
 
 FIGURES = ("fig1", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10",
            "fig11", "fig12", "elasticity")
+
+
+def _deadline(text: str) -> float | None:
+    """``--request-timeout``: seconds, where 0 disables the deadline."""
+    return float(text) or None
+
+
+def _add_mesh_flags(command, algorithms, duration_s: float,
+                    request_timeout_s: float | None) -> None:
+    """The flags ``run`` and ``live`` share, with per-command choices and
+    defaults."""
+    command.add_argument("--scenario", choices=SCENARIO_NAMES,
+                         default="scenario-1")
+    command.add_argument("--scenario-file", metavar="FILE", default=None,
+                         help="run a scenario loaded from a JSON trace "
+                              "file instead of a built-in one")
+    command.add_argument("--algorithm", choices=algorithms, default="l3")
+    command.add_argument("--duration", type=float, default=duration_s,
+                         help="seconds of measured load (default %(default)g)")
+    command.add_argument("--seed", type=int, default=1)
+    command.add_argument("--faults", metavar="SPEC", default=None,
+                         help="inject faults: 'kind@start[+duration]"
+                              "[:key=value...]' entries joined by ';', "
+                              "times in seconds of measured load (e.g. "
+                              "'cluster-outage@30+30:cluster=cluster-2"
+                              ":mode=blackhole'); see 'repro list' for kinds")
+    command.add_argument("--request-timeout", type=_deadline,
+                         default=request_timeout_s, metavar="SECONDS",
+                         help="per-attempt client deadline, 0 disables; "
+                              "blackholed targets need one to fail "
+                              "(default %(default)s)")
+
+
+def _scenario(args):
+    """The scenario ``--scenario`` names or ``--scenario-file`` holds."""
+    if args.scenario_file is None:
+        return build_scenario(args.scenario)
+    from repro.workloads.traceio import load_scenario
+
+    return load_scenario(args.scenario_file)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,12 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser(
         "run", help="run one scenario under one balancing algorithm")
-    run.add_argument("--scenario", choices=SCENARIO_NAMES,
-                     default="scenario-1")
-    run.add_argument("--scenario-file", metavar="FILE", default=None,
-                     help="run a scenario loaded from a JSON trace file "
-                          "instead of a built-in one")
-    run.add_argument("--algorithm", choices=BALANCER_NAMES, default="l3")
+    _add_mesh_flags(run, BALANCER_NAMES, 120.0, None)
     run.add_argument("--trace", metavar="OUT", default=None,
                      help="record per-request distributed traces and "
                           "write them to OUT (also prints the "
@@ -56,25 +91,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="otlp",
                      help="--trace output format: OTLP-style JSON or "
                           "Chrome trace events (Perfetto-loadable)")
-    run.add_argument("--duration", type=float, default=120.0,
-                     help="measured seconds (default 120)")
-    run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--faults", metavar="SPEC", default=None,
-                     help="inject faults: 'kind@start[+duration]"
-                          "[:key=value...]' entries joined by ';' "
-                          "(e.g. 'cluster-outage@30+30:cluster=cluster-2"
-                          ":mode=blackhole'); see 'repro list' for kinds")
     run.add_argument("--autoscale", metavar="SPEC", default=None,
                      help="autoscale replica sets: 'scope[:key=value...]' "
                           "entries joined by ';', scope a cluster name or "
                           "'*' (e.g. '*:target=0.5:min=2:max=6'); see "
                           "'repro list' for keys; overrides the "
                           "scenario's own policies")
-    run.add_argument("--request-timeout", type=float, default=None,
-                     metavar="SECONDS",
-                     help="per-attempt client deadline (off by default, "
-                          "as in the paper; required to survive "
-                          "blackhole faults)")
     run.add_argument("--outlier-ejection", action="store_true",
                      help="enable the consecutive-failure circuit "
                           "breaker (off by default, as in the paper)")
@@ -82,18 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
     live = commands.add_parser(
         "live", help="run the live localhost testbed (real sockets, "
                      "wall-clock, same controller code)")
-    live.add_argument("--scenario", choices=SCENARIO_NAMES,
-                      default="scenario-1")
-    live.add_argument("--scenario-file", metavar="FILE", default=None,
-                      help="run a scenario loaded from a JSON trace file "
-                           "instead of a built-in one")
-    live.add_argument("--algorithm", choices=LIVE_ALGORITHMS, default="l3")
-    live.add_argument("--duration", type=float, default=30.0,
-                      help="wall-clock seconds of load (default 30)")
+    _add_mesh_flags(live, LIVE_ALGORITHMS, 30.0, 5.0)
     live.add_argument("--port-base", type=int, default=18080,
                       help="first localhost port to bind (collisions walk "
                            "upward; default 18080)")
-    live.add_argument("--seed", type=int, default=1)
     live.add_argument("--rps", type=float, default=100.0,
                       help="offered load (default 100; 0 uses the "
                            "scenario's own RPS series)")
@@ -104,16 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       metavar="SECONDS",
                       help="HA lease TTL: a dead leader is replaced "
                            "within this long (default 3)")
-    live.add_argument("--faults", metavar="SPEC", default=None,
-                      help="chaos schedule, same grammar as `run "
-                           "--faults`; times are seconds into the run "
-                           "(e.g. 'cluster-outage@10+10:cluster="
-                           "cluster-2:mode=blackhole')")
-    live.add_argument("--request-timeout", type=float, default=5.0,
-                      metavar="SECONDS",
-                      help="per-attempt client deadline; blackholed "
-                           "targets need it to fail (default 5; "
-                           "0 disables)")
     live.add_argument("--report", metavar="OUT", default=None,
                       help="write a JSON run report (latency summary, "
                            "weight trajectory, fault log, shutdown "
@@ -345,43 +349,31 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "run":
-        from repro.bench.coordinator import run_scenario_benchmark
+        from repro.bench.coordinator import (
+            SCENARIO_SERVICE,
+            ScenarioBenchConfig,
+            run_scenario_benchmark,
+        )
 
-        scenario = args.scenario
-        if args.scenario_file is not None:
-            from repro.workloads.traceio import load_scenario
-
-            scenario = load_scenario(args.scenario_file)
-        faults = None
-        env = None
-        tracer = None
-        autoscale = None
+        scenario = _scenario(args)
+        faults = tracer = autoscale = outlier_ejection = None
         if args.faults is not None:
-            from repro.bench.coordinator import SCENARIO_SERVICE
             from repro.faults import parse_fault_spec
-            from repro.workloads.scenarios import build_scenario
 
-            topology = (build_scenario(scenario)
-                        if isinstance(scenario, str) else scenario)
             faults = parse_fault_spec(
-                args.faults, clusters=set(topology.clusters()),
+                args.faults, clusters=set(scenario.clusters()),
                 services={SCENARIO_SERVICE})
         if args.autoscale is not None:
             from repro.autoscale import parse_autoscale_spec
-            from repro.workloads.scenarios import build_scenario
 
-            built = (build_scenario(scenario)
-                     if isinstance(scenario, str) else scenario)
             autoscale = parse_autoscale_spec(
-                args.autoscale, built.clusters())
-        if args.request_timeout is not None or args.outlier_ejection:
-            from repro.bench.coordinator import ScenarioBenchConfig
+                args.autoscale, scenario.clusters())
+        if args.outlier_ejection:
             from repro.mesh.ejection import OutlierEjectionConfig
 
-            env = ScenarioBenchConfig(
-                request_timeout_s=args.request_timeout,
-                outlier_ejection=(OutlierEjectionConfig()
-                                  if args.outlier_ejection else None))
+            outlier_ejection = OutlierEjectionConfig()
+        env = ScenarioBenchConfig(request_timeout_s=args.request_timeout,
+                                  outlier_ejection=outlier_ejection)
         if args.trace is not None:
             from repro.tracing import MeshTracer, TracingConfig
 
@@ -396,23 +388,16 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "live":
-        from repro.live import LiveConfig, LiveHarness
+        from repro.live import LiveConfig, run_live
 
-        scenario = args.scenario
-        if args.scenario_file is not None:
-            from repro.workloads.traceio import load_scenario
-
-            scenario = load_scenario(args.scenario_file)
+        scenario = _scenario(args)
         config = LiveConfig(
             algorithm=args.algorithm, duration_s=args.duration,
             port_base=args.port_base, seed=args.seed,
             rps=args.rps if args.rps > 0 else None,
             ha_replicas=args.ha_replicas, lease_ttl_s=args.lease_ttl,
-            faults=args.faults,
-            request_timeout_s=(args.request_timeout
-                               if args.request_timeout > 0 else None))
-        harness = LiveHarness(scenario, config)
-        result = harness.run()
+            faults=args.faults, request_timeout_s=args.request_timeout)
+        result, harness = run_live(scenario, config)
         _print_result(result)
         for when, description in harness.fault_log:
             print(f"  [chaos {when:7.2f}s] {description}")
@@ -428,7 +413,6 @@ def main(argv=None) -> int:
                 and not harness.chaos_errors else 1)
 
     if args.command == "export-trace":
-        from repro.workloads.scenarios import build_scenario
         from repro.workloads.traceio import save_scenario
 
         save_scenario(build_scenario(args.scenario), args.path)

@@ -138,8 +138,8 @@ class ReconcileController:
         self.degraded_reconciles: int = 0
         self.last_error: str | None = None
         # Optional decision audit (duck-typed so the core stays free of
-        # tracing imports): anything with record_degraded(now, error) and,
-        # for L3, record_decision(...) — see
+        # tracing imports): anything with record_decision(now, samples,
+        # weights, **extras) and record_degraded(now, error) — see
         # repro.tracing.audit.DecisionAuditLog.
         self.audit = None
 
@@ -175,7 +175,9 @@ class ReconcileController:
         self.last_weights = weights
         self.reconcile_count += 1
         self.last_error = None
-        self.committed(samples, weights, now)
+        extras = self.committed(samples, weights, now)
+        if self.audit is not None:
+            self.audit.record_decision(now, samples, weights, **extras)
         return weights
 
     def new_backend(self, name: str, start_time: float):
@@ -188,8 +190,10 @@ class ReconcileController:
         raise NotImplementedError
 
     def committed(self, samples: dict[str, MetricSample | None],
-                  weights: dict[str, int], now: float) -> None:
-        """Hook: ``weights`` reached the sink."""
+                  weights: dict[str, int], now: float) -> dict:
+        """Hook: ``weights`` reached the sink. Returns what the audit
+        records with the decision besides its samples and weights."""
+        return {}
 
     def _degrade(self, exc: Exception, now: float) -> dict[str, int]:
         """Record a failed reconcile and hold last-known-good weights."""
@@ -206,8 +210,8 @@ class L3Controller(ReconcileController):
     Exposes its internal state (filtered metrics, raw and rate-controlled
     weights, the relative RPS change) after every reconcile, mirroring the
     paper's Prometheus/OpenTelemetry introspection of the Go operator.
-    Every pushed decision goes to the audit, making each weight push
-    joinable to the data-plane requests it routed.
+    Its audit decisions carry the EWMA states, raw weights, relative
+    change and total RPS besides the samples and weights.
     """
 
     config_type = L3Config
@@ -282,16 +286,13 @@ class L3Controller(ReconcileController):
         }
 
     def committed(self, samples, weights: dict[str, int],
-                  now: float) -> None:
+                  now: float) -> dict:
         raw_weights, total_rps, change = self._decision
         self.last_raw_weights = raw_weights
         self.last_total_rps = total_rps
         self.last_relative_change = change
-        if self.audit is not None:
-            self.audit.record_decision(
-                now=now, samples=samples, states=self.backends,
-                raw_weights=raw_weights, weights=weights,
-                relative_change=change, total_rps=total_rps)
+        return {"states": self.backends, "raw_weights": raw_weights,
+                "relative_change": change, "total_rps": total_rps}
 
     def _failure_latency_reader(self):
         """What feeds each backend's penalty filter, or None.

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 from repro._lazy import lazy_exports
 from repro.core.config import L3Config
+from repro.env import MeshEnv
 from repro.errors import ConfigError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -91,73 +92,57 @@ def weight_points(weights: dict[str, int]) -> dict[str, float]:
     return {name: 100.0 * w / total for name, w in weights.items()}
 
 
-@dataclass
-class LiveConfig:
-    """Environment knobs of one live run."""
+@dataclass(frozen=True, kw_only=True)
+class LiveConfig(MeshEnv):
+    """One live run: :class:`~repro.env.MeshEnv`, three of its defaults
+    changed on purpose (DESIGN §5e), plus the live knobs."""
 
     algorithm: str = "l3"
     duration_s: float = 30.0
     port_base: int = 18080
     host: str = "127.0.0.1"
-    client_cluster: str = "cluster-1"
     seed: int = 1
     # Offered load; None uses the scenario's own RPS series (typically
     # hundreds of RPS — heavier than a CI smoke run needs).
     rps: float | None = 100.0
+    # Live runs last tens of seconds, not the paper's minutes: the
+    # control loop is re-timed to match (live_l3_config).
     scrape_interval_s: float = 1.0
     reconcile_interval_s: float = 1.0
     l3_config: L3Config | None = None
-    replica_capacity: int = 64
-    max_retries: int = 0
-    retry_backoff_s: float = 0.0
-    # Live runs default to a bounded per-attempt deadline: a wedged
-    # localhost socket must not hang a CI job.
+    # A bounded per-attempt deadline: a wedged localhost socket must not
+    # hang a CI job.
     request_timeout_s: float | None = 5.0
-    outlier_ejection: object | None = None
     # Controller replicas; > 1 runs lease-based HA (satellite of §4).
     ha_replicas: int = 1
     lease_ttl_s: float = 3.0
+    # A live drain holds real sockets open for wall-clock seconds.
     drain_s: float = 5.0
-    arrival: str = "uniform"
     # Chaos: a --faults spec string or a parsed Fault list; times are
     # seconds into the run. None runs fault-free (no shaper, no task).
     faults: object = None
 
+    _FLOORS = MeshEnv._FLOORS + (("ha_replicas", 1),)
+    _POSITIVE = MeshEnv._POSITIVE + (
+        "duration_s", "reconcile_interval_s", "lease_ttl_s", "rps")
+
     def __post_init__(self):
         """Reject every unrunnable value before a single port is bound."""
+        super().__post_init__()
         if self.algorithm not in LIVE_ALGORITHMS:
             raise ConfigError(
                 f"algorithm must be one of {LIVE_ALGORITHMS}: "
                 f"{self.algorithm!r}")
-        for name in ("duration_s", "scrape_interval_s", "reconcile_interval_s",
-                     "lease_ttl_s", "rps", "request_timeout_s"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigError(f"{name} must be positive: {value}")
-        for name, floor in (("drain_s", 0), ("max_retries", 0),
-                            ("retry_backoff_s", 0), ("ha_replicas", 1),
-                            ("replica_capacity", 1)):
-            if getattr(self, name) < floor:
-                raise ConfigError(
-                    f"{name} must be >= {floor}: {getattr(self, name)}")
         if not 0 < self.port_base < 65536 - 256:
             raise ConfigError(f"port_base out of range: {self.port_base}")
 
 
-def run_live(scenario: str | Scenario, algorithm: str = "l3",
-             duration_s: float = 30.0, port_base: int = 18080,
-             seed: int = 1, faults: object = None,
-             config: LiveConfig | None = None,
+def run_live(scenario: str | Scenario, config: LiveConfig | None = None,
              ) -> tuple[BenchmarkResult, LiveHarness]:
-    """Convenience wrapper: build a harness, run it, return both.
-
-    ``config`` overrides the individual keyword arguments when given.
-    """
+    """Build a harness for ``config`` (default :class:`LiveConfig`), run
+    it, return both."""
     from repro.live.runtime import LiveHarness
 
-    if config is None:
-        config = LiveConfig(algorithm=algorithm, duration_s=duration_s,
-                            port_base=port_base, seed=seed, faults=faults)
     harness = LiveHarness(scenario, config)
     return harness.run(), harness
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.env import ARRIVALS
 from repro.errors import ConfigError
 from repro.workloads.profiles import PiecewiseSeries, constant_series
-
-_ARRIVALS = ("uniform", "poisson")
 
 
 class LiveLoadGenerator:
@@ -36,9 +35,9 @@ class LiveLoadGenerator:
             clock: zero-argument callable, seconds since the run started.
             arrival: ``"uniform"`` (wrk2-style spacing) or ``"poisson"``.
         """
-        if arrival not in _ARRIVALS:
+        if arrival not in ARRIVALS:
             raise ConfigError(
-                f"arrival must be one of {_ARRIVALS}: {arrival!r}")
+                f"arrival must be one of {ARRIVALS}: {arrival!r}")
         if isinstance(rps, (int, float)):
             rps = constant_series(float(rps))
         if not isinstance(rps, PiecewiseSeries):

@@ -84,8 +84,6 @@ SHARD_ALGORITHMS = ("l3", "l3-peak")
 # The client proxy's forwarding overhead (ClientProxy default).
 _FORWARD_OVERHEAD_S = 0.0002
 
-_ARRIVALS = ("uniform", "poisson")
-
 
 def _stream_seed_words(seed: int, name: str) -> list[int]:
     """Four 32-bit key words for an entity's private RandomState.
@@ -547,17 +545,11 @@ def run_sharded_benchmark(scenario, algorithm: str = "l3",
         raise ConfigError(
             "the shard engine supports no retries, deadlines or "
             "ejection; disable them or use the per-event engines")
-    if env.arrival not in _ARRIVALS:
-        raise ConfigError(
-            f"arrival must be one of {_ARRIVALS}: {env.arrival!r}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1: {jobs}")
     if duration_s <= 0:
         raise ConfigError(f"duration must be positive: {duration_s}")
     epoch_s = env.scrape_interval_s
-    if epoch_s <= 0:
-        raise ConfigError(
-            f"scrape interval must be positive: {epoch_s}")
     if not 0.0 <= env.propagation_delay_s < epoch_s:
         raise ConfigError(
             "the shard engine needs 0 <= propagation delay < the scrape "

@@ -7,12 +7,13 @@ infer the internal state at any point in time" (§4). Scraped gauges (see
 log answers the harder forensic question — *which decision routed this
 request, and what inputs produced it*.
 
-Attach a :class:`DecisionAuditLog` to an
-:class:`~repro.core.controller.L3Controller` (``controller.audit = log``)
-and every reconcile appends one :class:`ReconcileDecision` carrying its
-inputs (the raw per-backend :class:`~repro.core.controller.MetricSample`
-values and the post-filter EWMA states) and its outputs (raw and final
-integer weights). When the log is also given a
+Attach a :class:`DecisionAuditLog` to any
+:class:`~repro.core.controller.ReconcileController` (``controller.audit =
+log``) and every reconcile appends one :class:`ReconcileDecision` carrying
+its inputs (the raw per-backend
+:class:`~repro.core.controller.MetricSample` values) and its output (the
+final integer weights); an L3 controller adds its post-filter EWMA states,
+raw weights and rate-control signals. When the log is also given a
 :class:`~repro.tracing.recorder.MeshTracer`, each decision additionally
 becomes an ``l3.reconcile`` span in the same recorder the data-plane
 spans land in — and data-plane *attempt* spans stamp
@@ -37,12 +38,12 @@ class ReconcileDecision:
         backends: backend name → flat dict of that backend's inputs:
             the raw sample (``sample_latency_s``, ``sample_success_rate``,
             ``sample_rps``, ``sample_inflight``; absent when the backend
-            returned no data) and the filtered state (``ewma_latency_s``,
+            returned no data) and L3's filtered state (``ewma_latency_s``,
             ``ewma_success_rate``, ``ewma_rps``, ``ewma_inflight``).
-        raw_weights: Algorithm 1 output before rate control.
+        raw_weights: L3's Algorithm 1 output before rate control.
         weights: final integer weights pushed to the TrafficSplit.
-        relative_change: the rate controller's input signal.
-        total_rps: summed backend RPS of the window.
+        relative_change: L3's rate-controller input signal.
+        total_rps: L3's summed backend RPS of the window.
         error: set (and everything above empty) on a degraded reconcile.
     """
 
@@ -77,27 +78,31 @@ class DecisionAuditLog:
         return self.decisions[-1].decision_id if self.decisions else 0
 
     # ------------------------------------------------------------------ #
-    # Controller-facing hooks (duck-typed; see L3Controller.audit)
+    # Controller-facing hooks (duck-typed; see ReconcileController.audit)
     # ------------------------------------------------------------------ #
 
-    def record_decision(self, now: float, samples: dict, states: dict,
-                        raw_weights: dict, weights: dict,
-                        relative_change: float, total_rps: float) -> None:
+    def record_decision(self, now: float, samples: dict, weights: dict,
+                        states: dict | None = None,
+                        raw_weights: dict | None = None,
+                        relative_change: float = 0.0,
+                        total_rps: float = 0.0) -> None:
         """Append one successful reconcile.
 
         Args:
             now: reconcile time.
             samples: backend → :class:`MetricSample` or ``None``, exactly
                 as the metrics source returned them.
-            states: backend → :class:`BackendMetricState` *after* this
-                reconcile's observe step.
-            raw_weights / weights: Algorithm 1 output and the final
-                integer weights.
-            relative_change / total_rps: rate-controller signals.
+            weights: the final integer weights.
+            states / raw_weights / relative_change / total_rps: L3's
+                extras — backend → :class:`BackendMetricState` *after*
+                this reconcile's observe step, Algorithm 1 output and
+                the rate-controller signals.
         """
+        states = states or {}
         backends = {}
-        for name, state in states.items():
-            row = {
+        for name in states or weights:
+            state = states.get(name)
+            row = {} if state is None else {
                 "ewma_latency_s": state.latency.value,
                 "ewma_success_rate": state.success_rate.value,
                 "ewma_rps": state.rps.value,
@@ -114,7 +119,7 @@ class DecisionAuditLog:
             backends[name] = row
         decision = ReconcileDecision(
             decision_id=len(self.decisions) + 1, time_s=now,
-            backends=backends, raw_weights=dict(raw_weights),
+            backends=backends, raw_weights=dict(raw_weights or {}),
             weights=dict(weights), relative_change=relative_change,
             total_rps=total_rps)
         self.decisions.append(decision)

@@ -10,10 +10,9 @@ exists to fix).
 
 from __future__ import annotations
 
+from repro.env import ARRIVALS
 from repro.errors import ConfigError
 from repro.workloads.profiles import PiecewiseSeries, constant_series
-
-_ARRIVALS = ("uniform", "poisson")
 
 # Inter-arrival gaps pre-drawn per refill.
 _CHUNK = 1024
@@ -37,9 +36,9 @@ class OpenLoopLoadGenerator:
 
     def __init__(self, target, rps, rng, records: list,
                  arrival: str = "uniform"):
-        if arrival not in _ARRIVALS:
+        if arrival not in ARRIVALS:
             raise ConfigError(
-                f"arrival must be one of {_ARRIVALS}: {arrival!r}")
+                f"arrival must be one of {ARRIVALS}: {arrival!r}")
         if isinstance(rps, (int, float)):
             rps = constant_series(float(rps))
         if not isinstance(rps, PiecewiseSeries):

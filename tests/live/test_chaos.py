@@ -9,6 +9,7 @@ fail the leader over within one lease TTL, exit clean).
 """
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
@@ -262,12 +263,8 @@ class TestLiveFaultInjector:
 
 
 def chaos_config(algorithm, port_base, duration_s, faults, **overrides):
-    config = fast_config(algorithm, port_base, duration_s)
-    config.faults = faults
-    config.request_timeout_s = 0.5
-    for name, value in overrides.items():
-        setattr(config, name, value)
-    return config
+    return replace(fast_config(algorithm, port_base, duration_s),
+                   faults=faults, request_timeout_s=0.5, **overrides)
 
 
 def uniform_scenario(base_s=0.040):

@@ -10,6 +10,7 @@ cover many reconcile cycles.
 
 import asyncio
 import socket
+from dataclasses import replace
 
 import pytest
 
@@ -116,8 +117,8 @@ class TestLiveSmoke:
             "api/cluster-1", "api/cluster-2", "api/cluster-3"}
 
     def test_ha_mode_has_exactly_one_active_leader(self):
-        config = fast_config("l3", PORT_BASE + 48, duration_s=4.0)
-        config.ha_replicas = 2
+        config = replace(fast_config("l3", PORT_BASE + 48, duration_s=4.0),
+                         ha_replicas=2)
         harness = LiveHarness(degraded_scenario(), config)
         result = harness.run()
 

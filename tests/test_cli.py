@@ -54,6 +54,22 @@ class TestRunWithFaults:
         out = capsys.readouterr().out
         assert "success rate" in out
 
+    def test_request_timeout_zero_disables_the_deadline(self, capsys):
+        # The same conversion as `live --request-timeout 0`: the run is
+        # the paper's deadline-free default, byte for byte.
+        argv = ["run", "--scenario", "scenario-5", "--algorithm",
+                "round-robin", "--duration", "15"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--request-timeout", "0"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_negative_request_timeout_rejected(self):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="request_timeout_s"):
+            main(["run", "--duration", "15", "--request-timeout", "-1"])
+
     def test_outlier_ejection_flag(self, capsys):
         code = main([
             "run", "--scenario", "scenario-5", "--algorithm",

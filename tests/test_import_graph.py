@@ -152,3 +152,11 @@ new = sorted(m for m in set(sys.modules) - before if m.startswith("repro"))
 assert new == [], new
 """
     modules_after(code)
+
+
+def test_mesh_env_is_a_leaf():
+    """Both substrates' configs build on ``repro.env``: it must stay as
+    cheap to import as ``repro.errors``."""
+    loaded = modules_after("import repro.env")
+    assert sorted(m for m in loaded if m.startswith("repro.")) == [
+        "repro._lazy", "repro.env", "repro.errors"]
